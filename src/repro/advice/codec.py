@@ -16,9 +16,10 @@ Both are strict: any structural surprise raises
 :class:`~repro.errors.AdviceFormatError`, which the audit treats as a
 rejection (malformed advice is server misbehaviour, never a crash).
 
-The tagged value encoding historically defined here lives in
-:mod:`repro.storage.values`; the names are re-exported for
-compatibility.
+The value encoding (:mod:`repro.storage.values`) is shared with every
+other record stream; its names are re-exported here for compatibility.
+Version 2 of the format writes primitive values bare; version-1 input
+is refused by the version check (and by the value decoder).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.storage.values import (  # noqa: F401  (compatibility re-exports)
 )
 from repro.store.kv import IsolationLevel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 STREAM_KIND = "advice"
 

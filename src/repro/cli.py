@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="fold the static conflict matrix into the wave "
                       "pre-partitioning (DESIGN.md §12)")
     plan.add_argument("--format", default="text", choices=["text", "json"],
-                      help="human text (default) or the repro.plan/1 JSON "
+                      help="human text (default) or the repro.plan/2 JSON "
                       "document on stdout")
 
     cache = sub.add_parser(

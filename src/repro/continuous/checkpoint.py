@@ -25,9 +25,9 @@ import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import KarousosError
+from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
-from repro.storage.values import decode_value, encode_value
+from repro.storage.values import canonical_value, decode_value, encode_value
 from repro.server.variables import INIT_HID, INIT_RID, INIT_REF
 from repro.verifier.carry import CarryIn
 from repro.verifier.preprocess import AuditState
@@ -45,29 +45,6 @@ class CheckpointChainError(CheckpointError):
     """A stored checkpoint chain fails digest verification (forgery)."""
 
 
-def _canonical(value: object) -> object:
-    """Encoded value with dict pair lists sorted, so the digest does not
-    depend on insertion order."""
-    encoded = encode_value(value)
-    return _sort_encoded(encoded)
-
-
-def _sort_encoded(doc: object) -> object:
-    if isinstance(doc, dict):
-        if doc.get("t") == "d":
-            pairs = [
-                [_sort_encoded(k), _sort_encoded(v)] for k, v in doc["v"]
-            ]
-            pairs.sort(key=lambda kv: json.dumps(kv[0], sort_keys=True))
-            return {"t": "d", "v": pairs}
-        if "v" in doc:
-            return {**doc, "v": _sort_encoded(doc["v"])}
-        return doc
-    if isinstance(doc, list):
-        return [_sort_encoded(x) for x in doc]
-    return doc
-
-
 def compute_digest(
     index: int, parent_digest: str, vars: Dict[str, object], kv: Dict[str, object]
 ) -> str:
@@ -75,11 +52,11 @@ def compute_digest(
         "index": index,
         "parent": parent_digest,
         "vars": sorted(
-            ([var_id, _canonical(value)] for var_id, value in vars.items()),
+            ([var_id, canonical_value(value)] for var_id, value in vars.items()),
             key=lambda pair: pair[0],
         ),
         "kv": sorted(
-            ([key, _canonical(value)] for key, value in kv.items()),
+            ([key, canonical_value(value)] for key, value in kv.items()),
             key=lambda pair: pair[0],
         ),
     }
@@ -207,7 +184,7 @@ def decode_checkpoint(payload: str) -> Checkpoint:
             kv={k: decode_value(v) for k, v in doc["kv"]},
             digest=doc["digest"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AdviceFormatError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
 
 

@@ -41,7 +41,7 @@ from repro.trace.codec import (
 )
 from repro.trace.trace import Trace
 
-EPOCH_FORMAT_VERSION = 1
+EPOCH_FORMAT_VERSION = 2
 
 STREAM_KIND = "epoch"
 

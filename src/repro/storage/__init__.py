@@ -31,6 +31,7 @@ from repro.storage.records import (
     unpack_json,
 )
 from repro.storage.values import (
+    canonical_value,
     decode_hid,
     decode_tid,
     decode_value,
@@ -60,6 +61,7 @@ __all__ = [
     "recover_stream",
     "scan_records",
     "unpack_json",
+    "canonical_value",
     "decode_hid",
     "decode_tid",
     "decode_value",

@@ -20,7 +20,7 @@ Two physical shapes share one logical per-event encoding:
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Tuple
 
 from repro.errors import AdviceFormatError
 from repro.storage.backend import RecordReader, RecordWriter, StorageBackend
@@ -28,7 +28,7 @@ from repro.storage.records import pack_json, unpack_json
 from repro.storage.values import decode_value, encode_value
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 
 STREAM_KIND = "trace"
 
@@ -124,13 +124,20 @@ def check_trace_meta(payload: bytes) -> None:
         raise AdviceFormatError(f"unsupported trace stream meta {doc!r}")
 
 
+def iter_trace_frames(events: Iterable[TraceEvent]) -> Iterator[Tuple[int, bytes]]:
+    """The trace as ``(rtype, payload)`` frames: the meta record, then
+    one record per event."""
+    yield RT_META, trace_meta_record()
+    for event in events:
+        yield RT_EVENT, pack_json(encode_trace_event(event))
+
+
 def write_trace_records(
     events: Iterable[TraceEvent], writer: RecordWriter, seal: bool = True
 ) -> None:
     """Spill ``events`` into ``writer`` one record at a time."""
-    writer.append(RT_META, trace_meta_record())
-    for event in events:
-        writer.append(RT_EVENT, pack_json(encode_trace_event(event)))
+    for rtype, payload in iter_trace_frames(events):
+        writer.append(rtype, payload)
     if seal:
         writer.seal()
 

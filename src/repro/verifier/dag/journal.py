@@ -24,7 +24,10 @@ Record types:
   resume re-runs them and replays only the expensive reexec frontier.
 * verdict -- one epoch's finished :class:`~repro.verifier.pipeline.AuditResult`.
   A resumed run replays recorded verdicts wholesale and skips every
-  node of a completed epoch.
+  node of a completed epoch.  A rejection's ``site`` names handlers,
+  ops and transactions; it is journaled in the value encoding plus a
+  HandlerId tag
+  and decoded back to the same objects on load.
 
 Trust model: the journal is auditor-private state, in the same class as
 the checkpoint store and the verdict cache -- the chain defends against
@@ -43,9 +46,11 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import KarousosError
+from repro.core.ids import HandlerId
+from repro.errors import AdviceFormatError, KarousosError
 from repro.storage.backend import StorageBackend
 from repro.storage.records import pack_json, unpack_json
+from repro.storage.values import decode_hid, decode_value, encode_hid, encode_value
 
 STREAM_NAME = "nodes"
 STREAM_KIND = "nodejournal"
@@ -146,6 +151,7 @@ class NodeJournal:
         self._append(RT_NODE, doc)
 
     def record_verdict(self, epoch: int, verdict: Dict[str, object]) -> None:
+        verdict = {**verdict, "site": _encode_site(verdict.get("site"))}
         self._append(RT_VERDICT, {"kind": "verdict", "epoch": epoch,
                                   "verdict": verdict})
 
@@ -198,7 +204,14 @@ class NodeJournal:
                     str(doc.get("payload_kind", PAYLOAD_NONE)), blob
                 )
             elif rtype == RT_VERDICT:
-                state.verdicts[int(doc["epoch"])] = dict(doc["verdict"])
+                verdict = dict(doc["verdict"])
+                try:
+                    verdict["site"] = _decode_site(verdict.get("site"))
+                except (AdviceFormatError, TypeError, ValueError) as exc:
+                    raise NodeJournalError(
+                        f"journaled verdict site does not decode: {exc}"
+                    ) from exc
+                state.verdicts[int(doc["epoch"])] = verdict
             else:
                 raise NodeJournalError(f"unknown node journal record type {rtype}")
         assert state is not None
@@ -207,6 +220,35 @@ class NodeJournal:
 
 
 # -- payload codecs ------------------------------------------------------------
+
+
+def _encode_site(site: object) -> object:
+    """A rejection site as JSON: the value encoding of
+    :mod:`repro.storage.values` plus one tag, ``{"h": <hid path>}``, for
+    the HandlerIds a site names and a stored value never holds."""
+    if isinstance(site, HandlerId):
+        return {"h": encode_hid(site)}
+    if isinstance(site, dict):
+        return {"d": [[_encode_site(k), _encode_site(v)] for k, v in site.items()]}
+    if isinstance(site, tuple):
+        return {"t": [_encode_site(v) for v in site]}
+    if isinstance(site, list):
+        return [_encode_site(v) for v in site]
+    return encode_value(site)
+
+
+def _decode_site(doc: object) -> object:
+    """Inverse of :func:`_encode_site`."""
+    if isinstance(doc, dict) and len(doc) == 1:
+        if "h" in doc:
+            return decode_hid(doc["h"])
+        if "d" in doc:
+            return {_decode_site(k): _decode_site(v) for k, v in doc["d"]}
+        if "t" in doc:
+            return tuple(_decode_site(v) for v in doc["t"])
+    if isinstance(doc, list):
+        return [_decode_site(v) for v in doc]
+    return decode_value(doc)
 
 
 def encode_delta(delta: object) -> Optional[bytes]:

@@ -24,7 +24,7 @@ Node types, per epoch:
   reduction).
 
 Node IDs are SHA-256 over ``(epoch digest, group digest, stage name,
-spec version)``: the epoch digest pins the exact trace + advice bytes,
+spec version)``: the epoch digest pins the trace and advice record frames,
 the group digest pins the group's tag and members (empty for epoch-level
 nodes), and the spec version makes any format change a cache-wide
 invalidation instead of a silent misread.  Two runs over the same inputs
@@ -48,13 +48,19 @@ chained to its predecessor), and exactly-once group coverage.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import KarousosError
 
-PLAN_SPEC = "repro.plan/1"
+PLAN_SPEC = "repro.plan/2"
+
+# Frame prefix hashed before each record payload in epoch_digest: the
+# record type and payload length, as repro.storage.records frames them.
+_FRAME_HEAD = struct.Struct("<BI")
 
 NODE_DECODE = "decode"
 NODE_PREPROCESS = "preprocess"
@@ -102,17 +108,26 @@ def canonical_json(doc: object) -> str:
 
 
 def epoch_digest(trace: object, advice: object) -> str:
-    """SHA-256 over the canonical trace + advice encodings.
+    """SHA-256 over the epoch's record frames: the trace frames, then
+    (when there is advice) the advice frames, each prefixed by its
+    record type and length as in a record stream.
 
     Pins exactly what the epoch's audit consumes; two epochs with the
     same digest would audit identically, so node IDs derived from it are
-    stable across runs over the same inputs.
+    stable across runs over the same inputs.  The frames are hashed as
+    they are encoded; no whole-document string is built.
     """
-    from repro.advice.codec import encode_advice
-    from repro.trace.codec import encode_trace
+    from repro.advice.codec import iter_advice_frames
+    from repro.trace.codec import iter_trace_frames
 
-    encoded_advice = encode_advice(advice) if advice is not None else ""
-    return _sha256(encode_trace(trace) + "\x00" + encoded_advice)
+    h = hashlib.sha256()
+    frames = iter_trace_frames(trace)
+    if advice is not None:
+        frames = itertools.chain(frames, iter_advice_frames(advice))
+    for rtype, payload in frames:
+        h.update(_FRAME_HEAD.pack(rtype, len(payload)))
+        h.update(payload)
+    return h.hexdigest()
 
 
 def group_digest(tag: str, rids: Sequence[str]) -> str:
@@ -192,7 +207,7 @@ class AuditPlan:
                 return n
         return None
 
-    # -- serialization (the repro.plan/1 document) -------------------------
+    # -- serialization (the repro.plan/2 document) -------------------------
 
     def to_doc(self) -> Dict[str, object]:
         doc: Dict[str, object] = {

@@ -4,7 +4,7 @@ The reexec stage dominates audit wall-clock, and in the
 millions-of-users regime most requests re-execute the same handlers over
 the same read-set values.  This package makes that redundancy explicit:
 
-* :mod:`repro.verifier.dedup.digest` -- the ``repro.digest/1`` activation
+* :mod:`repro.verifier.dedup.digest` -- the ``repro.digest/2`` activation
   digest: a canonical SHA-256 over everything a group's *isolated*
   re-execution can observe (handler code identity, the trace slice, the
   advice slice with external read values resolved inline, and the

@@ -1,4 +1,4 @@
-"""The ``repro.digest/1`` activation digest (DESIGN.md §11).
+"""The ``repro.digest/2`` activation digest (DESIGN.md §11).
 
 A re-execution group is *value-isolated* (see :mod:`repro.verifier.parallel`):
 what it computes is a pure function of
@@ -37,10 +37,15 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 from repro.advice.records import TX_GET
 from repro.kem.program import AppSpec, request_event
 from repro.server.variables import INIT_REF
-from repro.storage.values import encode_hid, encode_tid, encode_value
+from repro.storage.values import (
+    canonical_value,
+    decode_value,
+    encode_hid,
+    encode_tid,
+)
 from repro.verifier.preprocess import AuditState
 
-DIGEST_SPEC = "repro.digest/1"
+DIGEST_SPEC = "repro.digest/2"
 
 # Positional member tokens: NUL bytes cannot appear in collector rids or
 # app-level strings, so substitution is collision-free and the residue
@@ -68,29 +73,14 @@ def canonical_json(doc: object) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _sort_encoded(doc: object) -> object:
-    """Sort encoded dict pair lists so hashing ignores insertion order
-    (the checkpoint digest's idiom)."""
-    if isinstance(doc, dict):
-        if doc.get("t") == "d":
-            pairs = [[_sort_encoded(k), _sort_encoded(v)] for k, v in doc["v"]]
-            pairs.sort(key=lambda kv: canonical_json(kv[0]))
-            return {"t": "d", "v": pairs}
-        if "v" in doc:
-            return {**doc, "v": _sort_encoded(doc["v"])}
-        return doc
-    if isinstance(doc, list):
-        return [_sort_encoded(x) for x in doc]
-    return doc
-
-
 def normalize_value(value: object, tokens: Dict[str, str]) -> object:
-    """Tagged canonical encoding of ``value`` with member rids tokenised.
+    """Canonical encoding of ``value`` with member rids tokenised.
 
-    Raises (via :func:`repro.storage.values.encode_value`) on types the
-    storage codec cannot represent -- callers treat that as uncacheable.
+    Raises (via :func:`repro.storage.values.canonical_value`) on types
+    the storage codec cannot represent -- callers treat that as
+    uncacheable.
     """
-    return _sort_encoded(encode_value(_substitute(value, tokens)))
+    return canonical_value(_substitute(value, tokens))
 
 
 def _substitute(value: object, mapping: Dict[str, str]) -> object:
@@ -110,8 +100,6 @@ def _substitute(value: object, mapping: Dict[str, str]) -> object:
 
 def denormalize_value(encoded: object, detokens: Dict[str, str]) -> object:
     """Inverse of :func:`normalize_value` given token -> rid."""
-    from repro.storage.values import decode_value
-
     return _substitute(decode_value(encoded), detokens)
 
 
@@ -371,7 +359,7 @@ def group_digest(
     state: AuditState, rids: List[str],
     keep_vars: Optional[FrozenSet[str]] = None,
 ) -> Optional[GroupDigest]:
-    """The ``repro.digest/1`` digest of one group, or None (uncacheable).
+    """The ``repro.digest/2`` digest of one group, or None (uncacheable).
 
     ``rids`` is the group's member list in the advice's canonical
     (sorted) order; member position defines the rid tokens.

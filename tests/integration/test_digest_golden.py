@@ -1,4 +1,4 @@
-"""Golden-pinned ``repro.digest/1`` activation digests (DESIGN.md §11).
+"""Golden-pinned ``repro.digest/2`` activation digests (DESIGN.md §11).
 
 A persistent verdict cache is only sound if the digest function is
 *reproducible*: the same app + trace + advice must produce bit-identical

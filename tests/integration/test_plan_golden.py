@@ -1,4 +1,4 @@
-"""Golden-pinned ``repro.plan/1`` documents (DESIGN.md §13).
+"""Golden-pinned ``repro.plan/2`` documents (DESIGN.md §13).
 
 Node-granular resume is only sound if plan compilation is
 *reproducible*: the killed run's node journal is keyed by node IDs, and

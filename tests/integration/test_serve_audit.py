@@ -188,6 +188,43 @@ class TestDifferential:
 
 
 @tier1
+class TestRejectionSite:
+    def test_forged_write_site_journals_and_resumes(self, tmp_path):
+        """A DAG epoch rejected with a site naming a HandlerId journals
+        its verdict (it used to crash the daemon with a TypeError), and
+        a restarted service replays the same verdict, reason and site
+        from the node journal."""
+        from repro.attacks import ALL_ATTACKS
+
+        wiki = _serve("wiki", wiki_workload(18, seed=53))
+        attack = next(a for a in ALL_ATTACKS if a.name == "forge-write-value")
+        epochs = slice_epochs(*attack.apply(wiki.trace, wiki.advice), 4)
+        store = _store_epochs(tmp_path, "forged", epochs)
+        tenant = TenantConfig(app="wiki", store=store, name="forged")
+
+        def verdicts():
+            service = _service_run(tmp_path, [tenant], scheduler="serial")
+            stream = service._by_name["forged"].stream
+            return stream, [
+                (v.epoch, v.accepted, v.result.reason, v.result.site)
+                for v in (stream.verdicts[i] for i in sorted(stream.verdicts))
+            ]
+
+        stream, first = verdicts()
+        rejected = next(v for v in first if not v[1])
+        assert rejected[3] is not None and "handler" in rejected[3]
+        journaled = stream.node_journal.load().verdicts[rejected[0]]
+        assert (journaled["reason"], journaled["site"]) == rejected[2:]
+        want = [
+            (v.epoch, v.accepted, v.result.reason, v.result.site)
+            for v in ContinuousAuditor(make_app("wiki")).run(epochs)
+        ]
+        assert first == want
+        _, resumed = verdicts()
+        assert resumed == first
+
+
+@tier1
 class TestSharedCache:
     def test_cross_tenant_hits_attributed_per_tenant(self, fleets, tmp_path):
         """Two tenants auditing the same stream share one verdict

@@ -113,7 +113,7 @@ class TestCacheCommand:
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["entries"] > 0
-        assert doc["spec"] == "repro.digest/1"
+        assert doc["spec"] == "repro.digest/2"
 
     def test_verify_clean(self, cache_dir, capsys):
         code = main(["cache", "verify", "--cache-dir", str(cache_dir)])

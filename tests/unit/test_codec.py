@@ -7,18 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.advice.codec import (
     FORMAT_VERSION,
+    STREAM_KIND,
     decode_advice,
     decode_hid,
     decode_value,
     encode_advice,
     encode_hid,
     encode_value,
+    read_advice,
+    write_advice,
 )
 from repro.apps import motd_app, stackdump_app, wiki_app
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
+from repro.storage import MemoryBackend
 from repro.store import IsolationLevel, KVStore
 from repro.verifier import audit
 from repro.workload import motd_workload, stacks_workload, wiki_workload
@@ -56,6 +60,26 @@ values = st.recursive(
 )
 
 
+# Arbitrary JSON trees, biased towards the tagged shapes the decoder
+# must tell apart from malformed input.
+json_trees = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False),
+        st.text(max_size=5),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.sampled_from(["t", "d", "x", "v", "hid", "opnum"]),
+                        children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=2),
+    ),
+    max_leaves=16,
+)
+
+
 class TestValueEncoding:
     @settings(max_examples=200)
     @given(values)
@@ -79,10 +103,47 @@ class TestValueEncoding:
         with pytest.raises(AdviceFormatError):
             encode_value(object())
 
-    @pytest.mark.parametrize("bad", [{"t": "z", "v": 1}, {"v": 1}, 42])
+    # An unknown tag, a tag with the wrong body, two tags, and a dict
+    # key that decodes to an unhashable list; then unhashable tuple and
+    # dict keys, bad pairs and bodies, a version-1 primitive wrapper and
+    # a malformed value nested in a list.
+    @pytest.mark.parametrize(
+        "bad",
+        [{"z": [1]}, {"t": 1}, {"t": [], "d": []}, {"d": [[[1], 2]]},
+         {"d": [[{"t": [[1]]}, 2]]}, {"d": [[{"d": []}, 2]]}, {"d": [[1]]},
+         {"d": 1}, {"x": 5}, {}, {"t": "p", "v": 1}, [{"t": "l"}]],
+    )
     def test_malformed_rejected(self, bad):
         with pytest.raises(AdviceFormatError):
             decode_value(bad)
+
+    def test_primitive_distinctions_pinned(self):
+        wire = json.loads(json.dumps(encode_value([True, 1, 1.0, 0, False, None])))
+        assert wire == [True, 1, 1.0, 0, False, None]
+        decoded = decode_value(wire)
+        assert [type(x) for x in decoded] == [bool, int, float, int, bool, type(None)]
+
+    def test_tuple_in_list_nesting(self):
+        value = [(1, [2, (3,)]), [(), "s"]]
+        wire = json.loads(json.dumps(encode_value(value)))
+        assert wire == [{"t": [1, [2, {"t": [3]}]]}, [{"t": []}, "s"]]
+        assert decode_value(wire) == value
+        assert type(decode_value(wire)[0][1][1]) is tuple
+
+    def test_txid_dict_key(self):
+        tid = TxId(HandlerId("g", HandlerId("f", None, 0), 2), 3)
+        value = {tid: "writer", (tid, 1): [tid]}
+        wire = json.loads(json.dumps(encode_value(value)))
+        assert decode_value(wire) == value
+
+    @settings(max_examples=300)
+    @given(json_trees)
+    def test_any_json_tree_decodes_or_is_rejected(self, tree):
+        try:
+            value = decode_value(tree)
+        except AdviceFormatError:
+            return
+        assert decode_value(json.loads(json.dumps(encode_value(value)))) == value
 
 
 def _runs():
@@ -132,6 +193,22 @@ class TestStrictDecoding:
     def _doc(self):
         run, _ = next(_runs())
         return json.loads(encode_advice(run.advice))
+
+    def test_version_1_stream_refused(self):
+        run, _ = next(_runs())
+        backend = MemoryBackend()
+        write_advice(backend, "advice", run.advice)
+        with backend.reader("advice") as reader:
+            frames = list(reader)
+        meta = json.loads(frames[0][1])
+        assert meta["version"] == FORMAT_VERSION == 2
+        meta["version"] = 1
+        with backend.create("old", STREAM_KIND) as writer:
+            writer.append(frames[0][0], json.dumps(meta).encode())
+            for rtype, payload in frames[1:]:
+                writer.append(rtype, payload)
+        with pytest.raises(AdviceFormatError):
+            read_advice(backend, "old")
 
     def test_wrong_version_rejected(self):
         doc = self._doc()

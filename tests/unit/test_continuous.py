@@ -182,7 +182,7 @@ class TestCheckpointStore:
             store.put(cp)
         path = tmp_path / "cps" / "checkpoint-1.json"
         doc = json.loads(path.read_text())
-        doc["vars"] = [["v", {"t": "p", "v": 999}]]
+        doc["vars"] = [["v", 999]]
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointChainError):
             CheckpointStore(str(tmp_path / "cps")).verify_chain()

@@ -213,6 +213,34 @@ class TestCrashResume:
                 # The whole epoch verdict was journaled: nothing re-runs.
                 assert resumed.executed_nodes == 0
 
+    @pytest.mark.parametrize("attack", [
+        "forge-write-value", "flip-entry-kind", "lie-response-emitter",
+        "phantom-handler", "merge-tags", "tamper-response",
+    ])
+    def test_rejected_verdict_site_survives_the_journal(self, served, attack):
+        # Rejection sites name HandlerIds, tuples of them and nested
+        # dicts; the journaled verdict must decode back to the same site.
+        trace, advice = next(
+            a for a in ALL_ATTACKS if a.name == attack
+        ).apply(served.trace, served.advice)
+        baseline = audit(motd_app(), trace, advice)
+        assert not baseline.accepted and baseline.site is not None
+        backend = MemoryBackend()
+        runs = []
+        for resume in (False, True):
+            auditor = DagAuditor(
+                motd_app(), trace, advice, app_name="motd",
+                journal=NodeJournal(backend), resume=resume,
+            )
+            runs.append((auditor, auditor.run()))
+        (_, first), (resumed, replayed) = runs
+        assert resumed.skipped_resumed == 1  # the verdict came from the journal
+        for got in (first, replayed):
+            assert (got.reason, got.detail, got.site) == (
+                baseline.reason, baseline.detail, baseline.site
+            )
+        assert replayed.stage == first.stage
+
     def test_resume_without_journal_is_refused(self, served):
         from repro.verifier.dag import NodeJournalError
 

@@ -121,7 +121,7 @@ class TestMaintenance:
         assert stats["entries"] == 1
         assert stats["members"] == 3
         assert stats["handlers"] == 5
-        assert stats["spec"] == "repro.digest/1"
+        assert stats["spec"] == "repro.digest/2"
         assert stats["backend"] == backend.scheme
 
     def test_clear_drops_stream(self, backend):

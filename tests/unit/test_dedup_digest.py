@@ -1,4 +1,4 @@
-"""Unit tests for the ``repro.digest/1`` activation digest (DESIGN.md §11).
+"""Unit tests for the ``repro.digest/2`` activation digest (DESIGN.md §11).
 
 The digest's contract: equal inputs-that-matter -> equal digest (across
 processes, runs, and request-id renames); any change to handler code,
@@ -46,7 +46,7 @@ def _digests(app, run):
 
 class TestDeterminism:
     def test_spec_version_pinned(self):
-        assert DIGEST_SPEC == "repro.digest/1"
+        assert DIGEST_SPEC == "repro.digest/2"
 
     def test_same_state_same_digests(self):
         run = _serve_motd()
