@@ -2,17 +2,13 @@
 
 The server ships advice to the verifier over a network (paper section 2.1:
 "the advice sent from the server to the verifier needs to be kept small").
-Two physical shapes share one logical encoding:
+The one physical shape is a record stream (:mod:`repro.storage`): one
+meta record, then one record per tag / handler log / variable log /
+transaction log, then one record per remaining section, so a bundle can
+be emitted and consumed incrementally (:func:`write_advice_records` /
+:func:`read_advice_records`).
 
-* the legacy self-describing JSON document (:func:`encode_advice` /
-  :func:`decode_advice`), kept as a thin wrapper over the per-section
-  codecs below;
-* a record stream (:mod:`repro.storage`): one meta record, then one
-  record per tag / handler log / variable log / transaction log, so a
-  bundle can be emitted and consumed incrementally
-  (:func:`write_advice_records` / :func:`read_advice_records`).
-
-Both are strict: any structural surprise raises
+Decoding is strict: any structural surprise raises
 :class:`~repro.errors.AdviceFormatError`, which the audit treats as a
 rejection (malformed advice is server misbehaviour, never a crash).
 
@@ -24,7 +20,6 @@ is refused by the version check (and by the value decoder).
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Tuple
 
 from repro.advice.records import (
@@ -36,7 +31,12 @@ from repro.advice.records import (
 from repro.core.ids import HandlerId, TxId
 from repro.errors import AdviceFormatError
 from repro.storage.backend import RecordReader, RecordWriter, StorageBackend
-from repro.storage.records import pack_json, unpack_json
+from repro.storage.records import (
+    FRAME_OVERHEAD,
+    encode_stream_header,
+    pack_json,
+    unpack_json,
+)
 from repro.storage.values import (  # noqa: F401  (compatibility re-exports)
     decode_hid,
     decode_tid,
@@ -108,7 +108,7 @@ def _decode_txpos(data: object) -> Tuple[str, TxId, int]:
     return (data[0], decode_tid(data[1]), data[2])
 
 
-# -- per-section entry codecs (shared by the JSON and record paths) -----------
+# -- per-section entry codecs ---------------------------------------------------
 
 
 def _encode_handler_entry(e: HandlerOpEntry) -> Dict:
@@ -221,7 +221,7 @@ def _encode_tx_windows(advice: Advice) -> List:
     ]
 
 
-# -- section accumulators (shared by the JSON and record decode paths) --------
+# -- section accumulators ------------------------------------------------------
 
 
 def _accum_tag(advice: Advice, rid: object, tag: object) -> None:
@@ -311,89 +311,6 @@ def _decode_isolation(value: object) -> IsolationLevel:
         raise AdviceFormatError("bad isolation level") from exc
 
 
-# -- the legacy whole-document bundle -----------------------------------------
-
-
-def encode_advice(advice: Advice) -> str:
-    """Serialise to a JSON string."""
-    doc = {
-        "version": FORMAT_VERSION,
-        "isolation": advice.isolation_level.value,
-        "tags": advice.tags,
-        "handler_logs": {
-            rid: [_encode_handler_entry(e) for e in log]
-            for rid, log in advice.handler_logs.items()
-        },
-        "variable_logs": {
-            var_id: [_encode_varlog_entry(key, e) for key, e in log.items()]
-            for var_id, log in advice.variable_logs.items()
-        },
-        "tx_logs": [
-            _encode_tx_log(rid, tid, log)
-            for (rid, tid), log in advice.tx_logs.items()
-        ],
-        "write_order": _encode_write_order(advice),
-        "response_emitted_by": _encode_response_by(advice),
-        "opcounts": _encode_opcounts(advice),
-        "nondet": _encode_nondet(advice),
-        "tx_windows": _encode_tx_windows(advice),
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def decode_advice(payload: str) -> Advice:
-    """Parse and validate a JSON advice document.
-
-    Any structural surprise -- wrong types, missing fields, bad nesting --
-    raises :class:`AdviceFormatError`; no other exception escapes.
-    """
-    try:
-        return _decode_advice(payload)
-    except AdviceFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise AdviceFormatError(
-            f"malformed advice: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-def _decode_advice(payload: str) -> Advice:
-    try:
-        doc = json.loads(payload)
-    except (TypeError, ValueError) as exc:
-        raise AdviceFormatError(f"advice is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise AdviceFormatError("advice document must be an object")
-    if doc.get("version") != FORMAT_VERSION:
-        raise AdviceFormatError(f"unsupported advice version {doc.get('version')!r}")
-    if "isolation" not in doc:
-        raise AdviceFormatError("bad isolation level")
-    advice = Advice(isolation_level=_decode_isolation(doc["isolation"]))
-
-    tags = doc.get("tags")
-    if not isinstance(tags, dict):
-        raise AdviceFormatError("tags must be an object")
-    for rid, tag in tags.items():
-        _accum_tag(advice, rid, tag)
-
-    for rid, log in _expect(doc, "handler_logs", dict).items():
-        _accum_handler_log(advice, rid, log)
-
-    for var_id, entries in _expect(doc, "variable_logs", dict).items():
-        _accum_variable_log(advice, var_id, entries)
-
-    for tx in _expect(doc, "tx_logs", list):
-        _accum_tx_log(advice, tx)
-
-    _accum_write_order(advice, _expect(doc, "write_order", list))
-    _accum_response_by(advice, _expect(doc, "response_emitted_by", dict))
-    _accum_opcounts(advice, _expect(doc, "opcounts", list))
-    _accum_nondet(advice, _expect(doc, "nondet", list))
-    _accum_tx_windows(advice, _expect(doc, "tx_windows", list))
-
-    return advice
-
-
 # -- record streams ------------------------------------------------------------
 
 
@@ -429,8 +346,8 @@ def iter_advice_frames(advice: Advice) -> Iterable[Tuple[int, bytes]]:
 class AdviceAccumulator:
     """Builds an :class:`Advice` from a sequence of advice frames.
 
-    Shared by the advice stream reader and the epoch stream reader; all
-    validation is the same strict per-section logic the JSON path uses.
+    Shared by the advice stream reader and the epoch stream reader, so
+    both apply the same strict per-section validation.
     """
 
     def __init__(self) -> None:
@@ -498,11 +415,15 @@ _SINGLETON_SECTIONS = {
 
 def write_advice_records(
     advice: Advice, writer: RecordWriter, seal: bool = True
-) -> None:
+) -> int:
+    """Append the bundle's frames; returns the record bytes appended."""
+    size = 0
     for rtype, payload in iter_advice_frames(advice):
         writer.append(rtype, payload)
+        size += FRAME_OVERHEAD + len(payload)
     if seal:
         writer.seal()
+    return size
 
 
 def read_advice_records(reader: RecordReader) -> Advice:
@@ -516,8 +437,12 @@ def read_advice_records(reader: RecordReader) -> Advice:
     return accum.finish()
 
 
-def write_advice(backend: StorageBackend, name: str, advice: Advice) -> None:
-    write_advice_records(advice, backend.create(name, STREAM_KIND))
+def write_advice(backend: StorageBackend, name: str, advice: Advice) -> int:
+    """Store ``advice`` as stream ``name``; returns the stream's size in
+    bytes before any backend compression (what
+    :func:`repro.advice.sizing.advice_size_bytes` reports)."""
+    header = len(encode_stream_header(STREAM_KIND))
+    return header + write_advice_records(advice, backend.create(name, STREAM_KIND))
 
 
 def read_advice(backend: StorageBackend, name: str) -> Advice:
@@ -526,13 +451,6 @@ def read_advice(backend: StorageBackend, name: str) -> Advice:
 
 
 # -- small validators ------------------------------------------------------------------
-
-
-def _expect(doc: dict, field: str, kind: type):
-    value = doc.get(field)
-    if not isinstance(value, kind):
-        raise AdviceFormatError(f"{field} must be {kind.__name__}")
-    return value
 
 
 def _expect_list(value: object) -> list:

@@ -2,14 +2,14 @@
 
 ::
 
-    python -m repro serve  --app wiki --requests 100 --out-trace t.json \\
-                           --out-advice a.json
-    python -m repro audit  --app wiki --trace t.json --advice a.json
-    python -m repro attack --app wiki --trace t.json --advice a.json \\
-                           --name tamper-response
+    python -m repro serve  --app wiki --requests 100 --store-path run/
+    python -m repro audit  --app wiki --store-path run/
+    python -m repro attack --app wiki --store-path run/ --name tamper-response
     python -m repro analyze --app wiki --conflicts
     python -m repro lint wiki --crosscheck
 
+Every command that persists or reads a run does so through a record
+store (``--store file|gzip`` rooted at ``--store-path``, DESIGN.md §8).
 ``audit`` exits 0 on ACCEPT and 3 on REJECT so it can gate deployments;
 ``lint`` exits 0 when clean and 4 on violations so it can gate merges,
 as does ``analyze --conflicts`` on ERROR-severity effect findings
@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
-from repro.advice.codec import decode_advice, encode_advice
 from repro.advice.sizing import advice_size_bytes
 from repro.analysis import analyze_app, suggest_annotations
 from repro.attacks import ALL_ATTACKS
@@ -34,7 +34,6 @@ from repro.kem.scheduler import RandomScheduler
 from repro.kem.threaded import ThreadedRuntime
 from repro.server import KarousosPolicy, OrochiPolicy, UnmodifiedPolicy, run_server
 from repro.store import IsolationLevel, KVStore
-from repro.trace.codec import decode_trace, encode_trace
 from repro.verifier import Auditor
 from repro.workload import workload_for
 
@@ -73,33 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--threads", type=int, default=0,
                        help="run on the threaded KEM runtime with N workers")
-    serve.add_argument("--out-trace", help="write the trace JSON here")
-    serve.add_argument("--out-advice", help="write the advice JSON here")
     serve.add_argument("--seal-every", type=int, default=0, metavar="N",
                        help="seal an epoch after every N responses (continuous "
                        "auditing); 0 disables sealing")
-    serve.add_argument("--out-epochs", metavar="DIR",
-                       help="write sealed epochs as epoch-<k>.json files here "
-                       "(requires --seal-every)")
-    _add_store_args(serve)
+    _add_store_args(serve, required=False)
     _add_obs_args(serve)
 
-    aud = sub.add_parser("audit", help="audit a trace against advice")
+    aud = sub.add_parser("audit", help="audit a stored run: its sealed epochs, "
+                         "else its trace against its advice")
     aud.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    aud.add_argument("--trace", help="trace JSON (required unless --epochs-dir)")
-    aud.add_argument("--advice", help="advice JSON (required unless --epochs-dir)")
     aud.add_argument("--epochs", type=int, default=0, metavar="N",
                      help="continuous audit: re-cut the trace into epochs of "
                      "N responses and audit them in sequence with checkpoint "
                      "hand-off")
-    aud.add_argument("--epochs-dir", metavar="DIR",
-                     help="continuous audit of sealed epoch files written by "
-                     "serve --out-epochs (replaces --trace/--advice)")
-    aud.add_argument("--checkpoint-dir", metavar="DIR",
-                     help="persist per-epoch checkpoints here (enables "
-                     "crash-resume together with --journal)")
-    aud.add_argument("--journal", metavar="PATH",
-                     help="append audit progress to this JSONL journal")
     aud.add_argument("--singleton-groups", action="store_true",
                      help="use the sequential OOOAudit (one group per request)")
     aud.add_argument("--jobs", type=int, default=1,
@@ -210,14 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compile an audit to its execution DAG without running it",
     )
     plan.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    plan.add_argument("--trace", help="trace JSON (required unless --epochs-dir)")
-    plan.add_argument("--advice", help="advice JSON (required unless --epochs-dir)")
     plan.add_argument("--epochs", type=int, default=0, metavar="N",
                       help="plan a continuous audit: re-cut the trace into "
                       "epochs of N responses")
-    plan.add_argument("--epochs-dir", metavar="DIR",
-                      help="plan over sealed epoch files written by serve "
-                      "--out-epochs (replaces --trace/--advice)")
     plan.add_argument("--singleton-groups", action="store_true",
                       help="one re-execution group per request (OOOAudit)")
     plan.add_argument("--dedup", action="store_true",
@@ -228,6 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--format", default="text", choices=["text", "json"],
                       help="human text (default) or the repro.plan/2 JSON "
                       "document on stdout")
+    _add_store_args(plan)
 
     cache = sub.add_parser(
         "cache", help="inspect or manage a persisted verdict cache"
@@ -240,10 +221,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser("attack", help="tamper with advice, then audit")
     attack.add_argument("--app", required=True, choices=["motd", "stacks", "wiki", "feed"])
-    attack.add_argument("--trace", required=True)
-    attack.add_argument("--advice", required=True)
     attack.add_argument("--name", required=True,
                         choices=[a.name for a in ALL_ATTACKS])
+    _add_store_args(attack)
 
     analyze = sub.add_parser(
         "analyze",
@@ -306,14 +286,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_store_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--store", default="json",
-                     choices=["json", "memory", "file", "gzip"],
-                     help="persistence layer: legacy whole-document JSON "
-                     "(default), or a repro.storage record-stream backend")
+def _add_store_args(sub: argparse.ArgumentParser, required: bool = True) -> None:
+    sub.add_argument("--store", default="file", choices=["file", "gzip"],
+                     help="record-store backend under --store-path: plain "
+                     "(default) or gzip-compressed record streams")
     sub.add_argument("--store-path", metavar="DIR",
-                     help="record-store root directory (required for "
-                     "--store file/gzip)")
+                     help="record-store root directory"
+                     + (" (required)" if required else
+                        "; it must hold no record streams yet.  Without it "
+                        "nothing is persisted"))
 
 
 def _add_obs_args(sub: argparse.ArgumentParser) -> None:
@@ -356,11 +337,12 @@ def _progress_hook(args):
 
 
 def _store_usage_error(args) -> Optional[str]:
-    """Flag validation shared by serve and audit; None when consistent."""
-    if args.store in ("file", "gzip") and not args.store_path:
-        return f"--store {args.store} requires --store-path"
-    if args.store in ("json", "memory") and args.store_path:
-        return "--store-path only applies to --store file/gzip"
+    """The --store-path check shared by audit, plan and attack: the store
+    must name an existing directory; None when it does."""
+    if not args.store_path:
+        return "--store-path is required"
+    if not os.path.isdir(args.store_path):
+        return f"no record store at {args.store_path}"
     return None
 
 
@@ -428,19 +410,50 @@ def _make_hints(args):
 
 
 def _store_backend(args, metrics=None):
-    """The backend named by --store, or None for the legacy JSON path."""
-    if args.store == "json":
+    """The backend --store/--store-path name, or None without a path."""
+    if not args.store_path:
         return None
     from repro.storage import backend_for
 
     return backend_for(args.store, args.store_path, metrics=metrics)
 
 
+def _used_store_error(path: str) -> Optional[str]:
+    """Serving appends to nothing: a store that already holds streams
+    would mix two runs (a stale journal skips the new epochs, a shorter
+    run leaves old epoch streams behind).  None when ``path`` is fresh."""
+    if not os.path.isdir(path):
+        return None
+    from repro.storage import backend_for
+
+    streams = sorted(
+        {name for scheme in ("file", "gzip")
+         for name in backend_for(scheme, path).list_streams()}
+    )
+    if not streams:
+        return None
+    return (f"--store-path {path} already holds record streams "
+            f"({', '.join(streams)}); serve into an empty directory")
+
+
 def _cmd_serve(args) -> int:
-    usage = _store_usage_error(args)
-    if usage is not None:
-        print(f"error: {usage}", file=sys.stderr)
+    if args.seal_every < 0:
+        print("error: --seal-every must be >= 0", file=sys.stderr)
         return EXIT_USAGE
+    if args.seal_every and args.threads > 0:
+        # The threaded runtime has no quiescent drain hook; sealing is a
+        # property of the cooperative serve loop.
+        print("error: --seal-every is not supported with --threads",
+              file=sys.stderr)
+        return EXIT_USAGE
+    policy = _POLICIES[args.server]()
+    if args.store_path:
+        usage = _used_store_error(args.store_path)
+        if usage is None and args.server == "unmodified":
+            usage = "the unmodified server produces no advice to store"
+        if usage is not None:
+            print(f"error: {usage}", file=sys.stderr)
+            return EXIT_USAGE
     metrics = _make_metrics(args)
     backend = _store_backend(args, metrics=metrics)
     app = make_app(args.app)
@@ -451,27 +464,12 @@ def _cmd_serve(args) -> int:
         if app_needs_store(args.app)
         else None
     )
-    policy = _POLICIES[args.server]()
-    if args.seal_every < 0:
-        print("error: --seal-every must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out_epochs and not args.seal_every:
-        print("error: --out-epochs requires --seal-every", file=sys.stderr)
-        return EXIT_USAGE
     sealer = None
     if args.seal_every:
-        if args.threads > 0:
-            # The threaded runtime has no quiescent drain hook; sealing is
-            # a property of the cooperative serve loop.
-            print("error: --seal-every is not supported with --threads",
-                  file=sys.stderr)
-            return EXIT_USAGE
         from repro.continuous import EpochSealer
-        from repro.continuous.codec import write_epoch, write_epoch_stored
+        from repro.continuous.codec import write_epoch_stored
 
         sinks = []
-        if args.out_epochs:
-            sinks.append(lambda epoch: write_epoch(args.out_epochs, epoch))
         if backend is not None:
             sinks.append(lambda epoch: write_epoch_stored(backend, epoch))
         if args.progress:
@@ -502,68 +500,35 @@ def _cmd_serve(args) -> int:
             scheduler=RandomScheduler(args.seed), concurrency=args.concurrency,
             sealer=sealer, trace_spool=spool, metrics=metrics,
         )
-        trace, advice = run.trace, run.advice
+        advice = run.advice
     print(f"served {len(requests)} requests on the {args.server} server")
     if sealer is not None:
-        print(f"sealed {len(sealer.epochs)} epochs"
-              + (f" -> {args.out_epochs}" if args.out_epochs else ""))
-    if args.out_trace:
-        with open(args.out_trace, "w") as fh:
-            fh.write(encode_trace(trace))
-        print(f"trace  -> {args.out_trace}")
+        print(f"sealed {len(sealer.epochs)} epochs")
     if advice is not None:
-        print(f"advice: {advice_size_bytes(advice)} bytes, "
-              f"{len(set(advice.tags.values()))} re-execution groups")
-        if args.out_advice:
-            with open(args.out_advice, "w") as fh:
-                fh.write(encode_advice(advice))
-            print(f"advice -> {args.out_advice}")
-    elif args.out_advice:
-        print("error: the unmodified server produces no advice", file=sys.stderr)
-        return EXIT_USAGE
-    if backend is not None:
-        if advice is not None:
+        if backend is not None:
             from repro.advice.codec import write_advice
 
-            write_advice(backend, "advice", advice)
+            # Encode once: the stored stream's size is the advice size.
+            size = write_advice(backend, "advice", advice)
+        else:
+            size = advice_size_bytes(advice)
+        print(f"advice: {size} bytes, "
+              f"{len(set(advice.tags.values()))} re-execution groups")
+    if backend is not None:
         if store is not None:
             store.binlog.seal()
         streams = backend.list_streams()
-        where = args.store_path if args.store_path else "(in-memory, discarded)"
-        print(f"store ({args.store}) -> {where}: {', '.join(streams)}")
+        print(f"store ({args.store}) -> {args.store_path}: {', '.join(streams)}")
     _write_metrics(args, metrics)
     return EXIT_OK
 
 
-def _load(args):
-    with open(args.trace) as fh:
-        trace = decode_trace(fh.read())
-    with open(args.advice) as fh:
-        advice = decode_advice(fh.read())
-    return trace, advice
-
-
 def _cmd_audit(args) -> int:
-    if args.epochs and args.epochs_dir:
-        print("error: --epochs and --epochs-dir are mutually exclusive",
-              file=sys.stderr)
-        return EXIT_USAGE
-    usage = _store_usage_error(args)
-    if usage is None and args.store in ("file", "gzip"):
-        if args.trace or args.advice or args.epochs_dir:
-            usage = (f"--store {args.store} reads from --store-path; drop "
-                     "--trace/--advice/--epochs-dir")
-    else:
-        if usage is None and args.store == "memory" and args.epochs_dir:
-            usage = "--store memory round-trips --trace/--advice, not --epochs-dir"
-        if usage is None and args.epochs_dir is None and (
-            args.trace is None or args.advice is None
-        ):
-            usage = "--trace and --advice are required unless --epochs-dir is given"
-    if usage is None:
-        usage = _dedup_usage_error(args)
-    if usage is None:
-        usage = _dag_usage_error(args)
+    usage = (
+        _store_usage_error(args)
+        or _dedup_usage_error(args)
+        or _dag_usage_error(args)
+    )
     if usage is not None:
         print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
@@ -597,94 +562,69 @@ def _dispatch_audit(args) -> int:
             dedup.close()  # seal the verdict-cache stream
 
 
+def _missing_run_error(args, backend) -> Optional[str]:
+    if backend.exists("trace") and backend.exists("advice"):
+        return None
+    return f"no trace/advice streams in {args.store_path}"
+
+
+def _read_run(backend):
+    """The stored run's trace and advice, materialised."""
+    from repro.advice.codec import read_advice
+    from repro.trace.codec import read_trace
+
+    return read_trace(backend, "trace"), read_advice(backend, "advice")
+
+
 def _dispatch_audit_inner(args, metrics, progress, dedup, hints=None) -> int:
     backend = _store_backend(args, metrics=metrics)
-    if args.store in ("file", "gzip"):
-        from repro.continuous.codec import list_epoch_streams
+    from repro.continuous.codec import list_epoch_streams
 
-        if not args.epochs and list_epoch_streams(backend):
-            # Sealed epoch streams take precedence: audit them lazily,
-            # one epoch resident at a time (O(epoch) memory).
-            return _cmd_audit_continuous(
-                args, backend=backend, metrics=metrics, progress=progress,
-                dedup=dedup, hints=hints,
-            )
-        if not backend.exists("trace") or not backend.exists("advice"):
-            print(f"error: no trace/advice streams in {args.store_path}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        from repro.advice.codec import read_advice
-
-        advice = read_advice(backend, "advice")
-        if args.epochs:
-            from repro.trace.codec import read_trace
-
-            return _cmd_audit_continuous(
-                args, backend=backend,
-                preloaded=(read_trace(backend, "trace"), advice),
-                metrics=metrics, progress=progress, dedup=dedup, hints=hints,
-            )
-        from repro.trace.codec import iter_trace_records
-
-        # The auditor consumes the record stream as an iterator; the
-        # whole-document JSON form never exists in this process.  run()
-        # stays inside the reader scope so the decode stage's timings
-        # cover the streamed read.
-        with backend.reader("trace") as reader:
-            auditor = Auditor(
-                make_app(args.app), iter_trace_records(reader), advice,
-                singleton_groups=args.singleton_groups,
-                parallelism=args.jobs, parallel_mode=args.parallel_mode,
-                partition="static" if hints is not None else None,
-                hints=hints,
-                metrics=metrics, progress=progress, dedup=dedup,
-                scheduler=_scheduler_arg(args),
-                node_journal=_make_node_journal(args, metrics),
-                resume=args.resume,
-            )
-            result = auditor.run()
-        from repro.trace.codec import read_trace as _read_trace
-
-        # The stream was consumed; a diagnosis replay re-reads it.
-        return _finish_audit(
-            args, result, metrics,
-            explain_ctx=lambda: (
-                make_app(args.app), _read_trace(backend, "trace"), advice
-            ),
-        )
-    if args.epochs or args.epochs_dir:
+    if not args.epochs and list_epoch_streams(backend):
+        # Sealed epoch streams take precedence: audit them lazily,
+        # one epoch resident at a time (O(epoch) memory).
         return _cmd_audit_continuous(
-            args, metrics=metrics, progress=progress, dedup=dedup, hints=hints
+            args, backend=backend, metrics=metrics, progress=progress,
+            dedup=dedup, hints=hints,
         )
-    trace, advice = _load(args)
-    if args.store == "memory":
-        trace, advice = _memory_roundtrip(backend, trace, advice)
-    auditor = Auditor(
-        make_app(args.app), trace, advice,
-        singleton_groups=args.singleton_groups,
-        parallelism=args.jobs, parallel_mode=args.parallel_mode,
-        partition="static" if hints is not None else None,
-        hints=hints,
-        metrics=metrics, progress=progress, dedup=dedup,
-        scheduler=_scheduler_arg(args),
-        node_journal=_make_node_journal(args, metrics),
-        resume=args.resume,
-    )
+    usage = _missing_run_error(args, backend)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
+    from repro.advice.codec import read_advice
+    from repro.trace.codec import iter_trace_records, read_trace
+
+    advice = read_advice(backend, "advice")
+    if args.epochs:
+        return _cmd_audit_continuous(
+            args, backend=backend,
+            preloaded=(read_trace(backend, "trace"), advice),
+            metrics=metrics, progress=progress, dedup=dedup, hints=hints,
+        )
+    # The auditor consumes the record stream as an iterator; the whole
+    # serialised trace never exists in this process.  run() stays inside
+    # the reader scope so the decode stage's timings cover the streamed
+    # read.
+    with backend.reader("trace") as reader:
+        auditor = Auditor(
+            make_app(args.app), iter_trace_records(reader), advice,
+            singleton_groups=args.singleton_groups,
+            parallelism=args.jobs, parallel_mode=args.parallel_mode,
+            partition="static" if hints is not None else None,
+            hints=hints,
+            metrics=metrics, progress=progress, dedup=dedup,
+            scheduler=_scheduler_arg(args),
+            node_journal=_make_node_journal(args, metrics),
+            resume=args.resume,
+        )
+        result = auditor.run()
+    # The stream was consumed; a diagnosis replay re-reads it.
     return _finish_audit(
-        args, auditor.run(), metrics,
-        explain_ctx=lambda: (make_app(args.app), trace, advice),
+        args, result, metrics,
+        explain_ctx=lambda: (
+            make_app(args.app), read_trace(backend, "trace"), advice
+        ),
     )
-
-
-def _memory_roundtrip(backend, trace, advice):
-    """Push the decoded inputs through the record layer and back -- the
-    --store memory mode proves the storage path end to end in-process."""
-    from repro.advice.codec import read_advice, write_advice
-    from repro.trace.codec import read_trace, write_trace
-
-    write_trace(backend, "trace", trace)
-    write_advice(backend, "advice", advice)
-    return read_trace(backend, "trace"), read_advice(backend, "advice")
 
 
 def _explain_report(args, result, explain_ctx=None, epoch=None):
@@ -742,34 +682,22 @@ def _cmd_audit_continuous(
         CheckpointStore,
         ContinuousAuditor,
         iter_epochs_stored,
-        read_epochs,
         slice_epochs,
     )
 
     if preloaded is not None:
+        # A re-cut of the whole run: its epochs are not the sealed ones
+        # the store's journal and checkpoints describe, so resume state
+        # stays in memory.
         trace, advice = preloaded
         epochs = slice_epochs(trace, advice, args.epochs)
-    elif backend is not None:
+        checkpoints, journal = CheckpointStore(), AuditJournal()
+    else:
+        # Checkpoints and journal live as record streams beside the
+        # sealed epochs, so a crashed audit resumes on re-run.
         epochs = iter_epochs_stored(backend)
-    elif args.epochs_dir:
-        epochs = read_epochs(args.epochs_dir)
-        if not epochs:
-            print(f"error: no epoch files in {args.epochs_dir}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        trace, advice = _load(args)
-        epochs = slice_epochs(trace, advice, args.epochs)
-    if args.checkpoint_dir or backend is None:
-        checkpoints = CheckpointStore(args.checkpoint_dir)
-    else:
-        # Checkpoints and journal live as record streams in the same
-        # store, so a crashed `audit --store file` resumes on re-run.
         checkpoints = CheckpointStore(backend=backend)
-    journal = (
-        AuditJournal(args.journal)
-        if args.journal or backend is None
-        else AuditJournal(backend=backend)
-    )
+        journal = AuditJournal(backend=backend)
     auditor = ContinuousAuditor(
         make_app(args.app),
         parallelism=args.jobs,
@@ -903,28 +831,24 @@ def _cmd_serve_audit(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    if args.epochs and args.epochs_dir:
-        print("error: --epochs and --epochs-dir are mutually exclusive",
-              file=sys.stderr)
+    usage = _store_usage_error(args)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
         return EXIT_USAGE
-    if args.epochs_dir is None and (args.trace is None or args.advice is None):
-        print("error: --trace and --advice are required unless --epochs-dir "
-              "is given", file=sys.stderr)
-        return EXIT_USAGE
+    from repro.continuous import iter_epochs_stored, slice_epochs
+    from repro.continuous.codec import list_epoch_streams
     from repro.verifier.dag import compile_plan, format_plan_text, single_epoch, validate_plan
 
-    if args.epochs_dir:
-        from repro.continuous import read_epochs
-
-        epochs = read_epochs(args.epochs_dir)
-        if not epochs:
-            print(f"error: no epoch files in {args.epochs_dir}", file=sys.stderr)
-            return EXIT_USAGE
+    backend = _store_backend(args)
+    if not args.epochs and list_epoch_streams(backend):
+        epochs = list(iter_epochs_stored(backend))
     else:
-        trace, advice = _load(args)
+        usage = _missing_run_error(args, backend)
+        if usage is not None:
+            print(f"error: {usage}", file=sys.stderr)
+            return EXIT_USAGE
+        trace, advice = _read_run(backend)
         if args.epochs:
-            from repro.continuous import slice_epochs
-
             epochs = slice_epochs(trace, advice, args.epochs)
         else:
             epochs = [single_epoch(0, trace, advice)]
@@ -983,7 +907,14 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    trace, advice = _load(args)
+    usage = _store_usage_error(args)
+    if usage is None:
+        backend = _store_backend(args)
+        usage = _missing_run_error(args, backend)
+    if usage is not None:
+        print(f"error: {usage}", file=sys.stderr)
+        return EXIT_USAGE
+    trace, advice = _read_run(backend)
     attack = next(a for a in ALL_ATTACKS if a.name == args.name)
     try:
         tampered_trace, tampered_advice = attack.apply(trace, advice)

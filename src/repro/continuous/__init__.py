@@ -22,13 +22,8 @@ from repro.continuous.checkpoint import (
     encode_checkpoint,
 )
 from repro.continuous.codec import (
-    decode_epoch,
-    encode_epoch,
-    iter_epochs,
     iter_epochs_stored,
     read_epoch_stream,
-    read_epochs,
-    write_epoch,
     write_epoch_stored,
 )
 from repro.continuous.epoch import Epoch, balanced_cuts, slice_epochs
@@ -50,14 +45,9 @@ __all__ = [
     "checkpoint_from_audit",
     "compute_digest",
     "decode_checkpoint",
-    "decode_epoch",
     "encode_checkpoint",
-    "encode_epoch",
-    "iter_epochs",
     "iter_epochs_stored",
     "read_epoch_stream",
-    "read_epochs",
     "slice_epochs",
-    "write_epoch",
     "write_epoch_stored",
 ]

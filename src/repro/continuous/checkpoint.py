@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -196,42 +195,23 @@ RT_CHECKPOINT = 1
 class CheckpointStore:
     """Checkpoints by epoch index, optionally persisted.
 
-    Two persistence shapes, both behind the same interface:
+    With a ``backend`` (a :class:`repro.storage.backend.StorageBackend`)
+    the store is one append-only ``checkpoints`` record stream, one
+    record per :meth:`put`, fsynced per record so a crash can never tear
+    a checkpoint the journal already references.  Reopening replays the
+    stream (later records for an index win) and recovers a torn tail.
+    Without one, checkpoints live in memory only.
 
-    * ``directory`` (legacy): one ``checkpoint-<index>.json`` per epoch,
-      rewritten atomically on :meth:`put`;
-    * ``backend`` (a :class:`repro.storage.backend.StorageBackend`): one
-      append-only ``checkpoints`` record stream, one record per
-      :meth:`put`, fsynced per record so a crash can never tear a
-      checkpoint the journal already references.  Reopening replays the
-      stream (later records for an index win) and recovers a torn tail.
-
-    Either way :meth:`verify_chain` recomputes every digest and checks
-    the parent links, so tampering with stored state is detected before
-    any carried value is trusted.
+    :meth:`verify_chain` recomputes every digest and checks the parent
+    links, so tampering with stored state is detected before any carried
+    value is trusted.
     """
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        backend: Optional[StorageBackend] = None,
-    ):
-        if directory is not None and backend is not None:
-            raise ValueError("pass a directory or a backend, not both")
-        self.directory = directory
+    def __init__(self, backend: Optional[StorageBackend] = None):
         self.backend = backend
         self._writer = None
         self._by_index: Dict[int, Checkpoint] = {}
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            for name in os.listdir(directory):
-                if not (name.startswith("checkpoint-") and name.endswith(".json")):
-                    continue
-                path = os.path.join(directory, name)
-                with open(path, "r", encoding="utf-8") as fh:
-                    cp = decode_checkpoint(fh.read())
-                self._by_index[cp.epoch] = cp
-        elif backend is not None:
+        if backend is not None:
             for rtype, payload in backend.load_tolerant(STREAM_NAME, STREAM_KIND):
                 if rtype != RT_CHECKPOINT:
                     raise CheckpointError(
@@ -251,13 +231,7 @@ class CheckpointStore:
 
     def put(self, cp: Checkpoint) -> None:
         self._by_index[cp.epoch] = cp
-        if self.directory is not None:
-            path = os.path.join(self.directory, f"checkpoint-{cp.epoch}.json")
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(encode_checkpoint(cp))
-            os.replace(tmp, path)
-        elif self.backend is not None:
+        if self.backend is not None:
             if self._writer is None:
                 # fsync_every: a "verified" journal entry must never
                 # reference a checkpoint the store could still lose.
@@ -269,7 +243,7 @@ class CheckpointStore:
             )
 
     def close(self) -> None:
-        """Seal the backend stream (no-op for directory/in-memory stores)."""
+        """Seal the backend stream (no-op for in-memory stores)."""
         if self._writer is not None:
             self._writer.seal()
             self._writer = None

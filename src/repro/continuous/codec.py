@@ -1,44 +1,28 @@
 """Wire format for sealed epochs.
 
-Two physical shapes:
-
-* the legacy ``epoch-<k>.json`` whole-document form
-  (:func:`write_epoch` / :func:`read_epochs`), kept as a thin wrapper
-  that embeds the trace segment and advice slice in their own versioned
-  JSON encodings;
-* one record stream per epoch (:mod:`repro.storage`): an epoch meta
-  record, then the trace segment's event records, then the advice
-  slice's section records -- the exact frames the trace and advice
-  codecs emit, so there is one per-entry encoding to validate.
-  :func:`iter_epochs_stored` loads epochs *one at a time*, which is what
-  keeps a continuous audit's memory O(epoch) instead of O(trace).
+One record stream per epoch (:mod:`repro.storage`): an epoch meta
+record, then the trace segment's event records, then the advice slice's
+section records -- the exact frames the trace and advice codecs emit, so
+there is one per-entry encoding to validate.  :func:`iter_epochs_stored`
+loads epochs *one at a time*, which is what keeps a continuous audit's
+memory O(epoch) instead of O(trace).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import re
 from typing import Iterator, List
 
 from repro.advice.codec import (
     ADVICE_RECORD_TYPES,
     AdviceAccumulator,
-    decode_advice,
-    encode_advice,
     iter_advice_frames,
 )
 from repro.continuous.epoch import Epoch
 from repro.errors import AdviceFormatError
 from repro.storage.backend import RecordReader, StorageBackend
 from repro.storage.records import pack_json, unpack_json
-from repro.trace.codec import (
-    RT_EVENT,
-    decode_trace,
-    decode_trace_event,
-    encode_trace,
-    encode_trace_event,
-)
+from repro.trace.codec import RT_EVENT, decode_trace_event, encode_trace_event
 from repro.trace.trace import Trace
 
 EPOCH_FORMAT_VERSION = 2
@@ -50,40 +34,7 @@ STREAM_KIND = "epoch"
 # embedded advice frames (repro.advice.codec.ADVICE_RECORD_TYPES).
 RT_EPOCH_META = 1
 
-_EPOCH_FILE = re.compile(r"^epoch-(\d+)\.json$")
 _EPOCH_STREAM = re.compile(r"^epoch-(\d+)$")
-
-
-# -- legacy whole-document JSON ------------------------------------------------
-
-
-def encode_epoch(epoch: Epoch) -> str:
-    doc = {
-        "version": EPOCH_FORMAT_VERSION,
-        "index": epoch.index,
-        "binlog_range": list(epoch.binlog_range),
-        "trace": json.loads(encode_trace(epoch.trace)),
-        "advice": (
-            None if epoch.advice is None else json.loads(encode_advice(epoch.advice))
-        ),
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def decode_epoch(payload: str) -> Epoch:
-    try:
-        doc = json.loads(payload)
-    except (TypeError, ValueError) as exc:
-        raise AdviceFormatError(f"epoch is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != EPOCH_FORMAT_VERSION:
-        raise AdviceFormatError("unsupported epoch document")
-    index, rng = _check_epoch_meta(doc)
-    trace = decode_trace(json.dumps(doc.get("trace"))).freeze()
-    advice_doc = doc.get("advice")
-    advice = None if advice_doc is None else decode_advice(json.dumps(advice_doc))
-    return Epoch(
-        index=index, trace=trace, advice=advice, binlog_range=(rng[0], rng[1])
-    )
 
 
 def _check_epoch_meta(doc: dict):
@@ -98,38 +49,6 @@ def _check_epoch_meta(doc: dict):
     ):
         raise AdviceFormatError("bad epoch binlog range")
     return index, rng
-
-
-def write_epoch(directory: str, epoch: Epoch) -> str:
-    """Persist one epoch as ``epoch-<index>.json``; returns the path."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"epoch-{epoch.index}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(encode_epoch(epoch))
-    os.replace(tmp, path)
-    return path
-
-
-def read_epochs(directory: str) -> List[Epoch]:
-    """Load every ``epoch-<k>.json`` in ``directory``, ordered by index."""
-    return list(iter_epochs(directory))
-
-
-def iter_epochs(directory: str) -> Iterator[Epoch]:
-    """Yield legacy JSON epochs one at a time, ordered by index."""
-    found = []
-    for name in os.listdir(directory):
-        match = _EPOCH_FILE.match(name)
-        if match is None:
-            continue
-        found.append((int(match.group(1)), name))
-    for _, name in sorted(found):
-        with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-            yield decode_epoch(fh.read())
-
-
-# -- record streams ------------------------------------------------------------
 
 
 def epoch_stream_name(index: int) -> str:

@@ -13,23 +13,17 @@ the checkpoint chain up to that epoch still verifies (a tampered
 checkpoint store invalidates the journal's claim and the resume is
 refused as ``checkpoint-chain-forged``).
 
-Two persistence shapes, both on the storage layer's tolerant-load path:
-
-* ``path`` (legacy): one JSONL file via :mod:`repro.storage.jsonl` --
-  fsync per record, torn final line dropped on load, torn bytes
-  overwritten by the next append;
-* ``backend`` (a :class:`repro.storage.backend.StorageBackend`): a
-  ``journal`` record stream with per-record fsync; the storage layer's
-  CRC + torn-tail recovery provide the same guarantee.
+Persisted with a ``backend`` (a
+:class:`repro.storage.backend.StorageBackend`): a ``journal`` record
+stream with per-record fsync, whose CRC framing and torn-tail recovery
+mean a kill mid-append loses at most the record being written.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 from repro.storage.backend import StorageBackend
-from repro.storage.jsonl import JsonlAppender, load_jsonl_tolerant
 from repro.storage.records import pack_json, unpack_json
 
 STREAM_KIND = "journal"
@@ -38,27 +32,14 @@ RT_JOURNAL_EVENT = 1
 
 
 class AuditJournal:
-    """Append-only, fsync-per-record progress log; in-memory when neither
-    ``path`` nor ``backend`` is given."""
+    """Append-only, fsync-per-record progress log; in-memory when no
+    ``backend`` is given."""
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        backend: Optional[StorageBackend] = None,
-    ):
-        if path is not None and backend is not None:
-            raise ValueError("pass a path or a backend, not both")
-        self.path = path
+    def __init__(self, backend: Optional[StorageBackend] = None):
         self.backend = backend
         self._writer = None
-        self._appender: Optional[JsonlAppender] = None
         self.events: List[Dict] = []
-        if path is not None:
-            resume_offset = None
-            if os.path.exists(path):
-                self.events, resume_offset = load_jsonl_tolerant(path)
-            self._appender = JsonlAppender(path, resume_offset)
-        elif backend is not None:
+        if backend is not None:
             for rtype, payload in backend.load_tolerant(STREAM_NAME, STREAM_KIND):
                 if rtype == RT_JOURNAL_EVENT:
                     self.events.append(unpack_json(payload))
@@ -67,9 +48,7 @@ class AuditJournal:
         entry: Dict = {"event": event, "epoch": epoch}
         entry.update(fields)
         self.events.append(entry)
-        if self._appender is not None:
-            self._appender.append(entry)
-        elif self.backend is not None:
+        if self.backend is not None:
             if self._writer is None:
                 self._writer = self.backend.append(
                     STREAM_NAME, STREAM_KIND, fsync_every=True
@@ -77,7 +56,7 @@ class AuditJournal:
             self._writer.append(RT_JOURNAL_EVENT, pack_json(entry))
 
     def close(self) -> None:
-        """Seal the backend stream (no-op for path/in-memory journals)."""
+        """Seal the backend stream (no-op for in-memory journals)."""
         if self._writer is not None:
             self._writer.seal()
             self._writer = None

@@ -17,7 +17,6 @@ from repro.storage.backend import (
     StorageBackend,
     backend_for,
 )
-from repro.storage.jsonl import JsonlAppender, load_jsonl_tolerant
 from repro.storage.records import (
     RecordFormatError,
     RecordTruncatedError,
@@ -49,8 +48,6 @@ __all__ = [
     "RecordWriter",
     "StorageBackend",
     "backend_for",
-    "JsonlAppender",
-    "load_jsonl_tolerant",
     "RecordFormatError",
     "RecordTruncatedError",
     "decode_stream_header",

@@ -5,7 +5,7 @@ A :class:`StorageBackend` is a namespace of named record streams (see
 implementations:
 
 * :class:`MemoryBackend` -- byte arrays in a dict; zero durability, used
-  by tests and the CLI's ``--store memory`` round-trip mode;
+  by tests and in-process harnesses;
 * :class:`FileBackend` -- one append-only file per stream under a root
   directory, flushed per record and fsynced on seal; opening a stream for
   append recovers a torn tail (a crash mid-append) by truncating to the

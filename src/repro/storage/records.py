@@ -40,6 +40,8 @@ MAX_RECORD_LEN = 1 << 30
 
 _FRAME_HEAD = struct.Struct("<BI")  # rtype, payload length
 _FRAME_CRC = struct.Struct("<I")
+# Bytes a frame adds to its payload: len(encode_record(t, p)) == len(p) + this.
+FRAME_OVERHEAD = _FRAME_HEAD.size + _FRAME_CRC.size
 
 
 class RecordFormatError(AdviceFormatError):
@@ -167,8 +169,9 @@ def recover_stream(buf: bytes) -> Tuple[str, List[Tuple[int, bytes]], int]:
 
 # -- payload helpers ----------------------------------------------------------
 
-# Record payloads are canonical JSON (sorted keys would change documents
-# the legacy codecs emit, so only the separators are pinned).
+# Record payloads are compact JSON.  Keys keep their insertion order
+# (sorting them would change every stored stream and the digests taken
+# over frames), so only the separators are pinned.
 
 
 def pack_json(doc: object) -> bytes:

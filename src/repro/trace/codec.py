@@ -6,20 +6,14 @@ trust model difference: the *transport* is untrusted only for advice --
 the trace must reach the verifier over a channel the principal trusts
 (paper section 2.1) -- but a strict parser is good hygiene either way.
 
-Two physical shapes share one logical per-event encoding:
-
-* the legacy whole-document JSON (:func:`encode_trace` /
-  :func:`decode_trace`), now a thin wrapper that concatenates the
-  per-event documents;
-* a record stream (:mod:`repro.storage`): one meta record then one
-  record per event, written incrementally (the collector spills events
-  as it logs them) and consumed as an iterator (the verifier never needs
-  the serialised document in memory).
+The one physical shape is a record stream (:mod:`repro.storage`): one
+meta record then one record per event, written incrementally (the
+collector spills events as it logs them) and consumed as an iterator
+(the verifier never needs the serialised trace in memory).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Tuple
 
 from repro.errors import AdviceFormatError
@@ -53,6 +47,19 @@ def encode_trace_event(event: TraceEvent) -> dict:
 
 
 def decode_trace_event(event: object) -> TraceEvent:
+    """Parse one event document; structural surprises raise
+    :class:`AdviceFormatError`, nothing else escapes."""
+    try:
+        return _decode_trace_event(event)
+    except AdviceFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise AdviceFormatError(
+            f"malformed trace event: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _decode_trace_event(event: object) -> TraceEvent:
     if not isinstance(event, dict) or not isinstance(event.get("rid"), str):
         raise AdviceFormatError(f"bad trace event: {event!r}")
     if event.get("kind") == REQ:
@@ -69,46 +76,6 @@ def decode_trace_event(event: object) -> TraceEvent:
     if event.get("kind") == RESP:
         return TraceEvent(RESP, event["rid"], decode_value(event["data"]))
     raise AdviceFormatError(f"unknown trace event kind {event.get('kind')!r}")
-
-
-# -- legacy whole-document JSON ------------------------------------------------
-
-
-def encode_trace(trace: Trace) -> str:
-    doc = {
-        "version": TRACE_FORMAT_VERSION,
-        "events": [encode_trace_event(e) for e in trace],
-    }
-    return json.dumps(doc, separators=(",", ":"))
-
-
-def decode_trace(payload: str) -> Trace:
-    """Parse a trace document; structural surprises raise
-    :class:`AdviceFormatError`, nothing else escapes."""
-    try:
-        return _decode_trace(payload)
-    except AdviceFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise AdviceFormatError(
-            f"malformed trace: {type(exc).__name__}: {exc}"
-        ) from exc
-
-
-def _decode_trace(payload: str) -> Trace:
-    try:
-        doc = json.loads(payload)
-    except (TypeError, ValueError) as exc:
-        raise AdviceFormatError(f"trace is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != TRACE_FORMAT_VERSION:
-        raise AdviceFormatError("unsupported trace document")
-    events = doc.get("events")
-    if not isinstance(events, list):
-        raise AdviceFormatError("trace events must be a list")
-    trace = Trace()
-    for event in events:
-        trace.append(decode_trace_event(event))
-    return trace
 
 
 # -- record streams ------------------------------------------------------------

@@ -23,11 +23,14 @@ import time
 
 import pytest
 
+from repro.advice.codec import write_advice
 from repro.apps import wiki_app
 from repro.core.work import WORK_SCALE_ENV, scaled_work
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
+from repro.storage import FileBackend
 from repro.store import IsolationLevel, KVStore
+from repro.trace.codec import write_trace
 from repro.workload import wiki_workload
 
 SCALE = 60.0
@@ -47,20 +50,17 @@ def served_files(tmp_path_factory):
             scheduler=RandomScheduler(1),
             concurrency=5,
         )
-    from repro.advice.codec import encode_advice
-    from repro.trace.codec import encode_trace
-
-    trace = tmp / "t.json"
-    advice = tmp / "a.json"
-    trace.write_text(encode_trace(run.trace))
-    advice.write_text(encode_advice(run.advice))
-    return tmp, str(trace), str(advice), len(run.advice.groups())
+    store = tmp / "store"
+    backend = FileBackend(str(store))
+    write_trace(backend, "trace", run.trace)
+    write_advice(backend, "advice", run.advice)
+    return tmp, str(store), len(run.advice.groups())
 
 
-def _audit_cmd(trace, advice, journal_dir, *extra):
+def _audit_cmd(store, journal_dir, *extra):
     return [
         sys.executable, "-m", "repro", "audit", "--app", "wiki",
-        "--trace", trace, "--advice", advice,
+        "--store-path", store,
         "--scheduler", "serial", "--node-journal", journal_dir,
         "--format", "json", *extra,
     ]
@@ -82,12 +82,12 @@ def _journal_bytes(journal_dir):
 
 
 def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
-    tmp, trace, advice, groups = served_files
+    tmp, store, groups = served_files
     journal_dir = str(tmp / "nodejournal")
     metrics_out = str(tmp / "metrics.json")
 
     proc = subprocess.Popen(
-        _audit_cmd(trace, advice, journal_dir),
+        _audit_cmd(store, journal_dir),
         env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     # Kill as soon as the journal holds a useful prefix: past the header
@@ -111,7 +111,7 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     assert proc.returncode == -signal.SIGKILL
 
     resumed = subprocess.run(
-        _audit_cmd(trace, advice, journal_dir, "--resume",
+        _audit_cmd(store, journal_dir, "--resume",
                    "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
@@ -131,7 +131,7 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
     # The resumed journal now carries the verdict: a third run replays
     # the whole epoch without re-executing anything.
     replay = subprocess.run(
-        _audit_cmd(trace, advice, journal_dir, "--resume",
+        _audit_cmd(store, journal_dir, "--resume",
                    "--metrics-out", metrics_out),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
@@ -142,10 +142,10 @@ def test_sigkill_mid_audit_resumes_from_the_node_journal(served_files):
 
 
 def test_unkilled_run_matches_resumed_stats(served_files):
-    tmp, trace, advice, groups = served_files
+    tmp, store, groups = served_files
     journal_dir = str(tmp / "nodejournal-clean")
     clean = subprocess.run(
-        _audit_cmd(trace, advice, journal_dir),
+        _audit_cmd(store, journal_dir),
         env=_env(), capture_output=True, text=True, timeout=300,
     )
     assert clean.returncode == 0, clean.stderr

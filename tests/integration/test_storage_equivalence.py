@@ -1,21 +1,16 @@
 """Differential equivalence of the storage layer (DESIGN.md §8).
 
 An audit must be a pure function of the *logical* trace+advice pair: the
-physical encoding -- legacy whole-document JSON or a record stream on any
-backend -- must never change the verdict, the rejection reason, or the
-deterministic statistics.  Proven here on all four bundled apps, honest
-and under every tamper in the attack library, plus the CLI surface
-(``--store memory|file|gzip``).
+record-stream round trip on any backend (memory, file, gzip) must never
+change the verdict, the rejection reason, or the deterministic
+statistics of auditing the in-memory pair directly.  Proven here on all
+four bundled apps, honest and under every tamper in the attack library,
+plus the CLI surface (``--store file|gzip``).
 """
 
 import pytest
 
-from repro.advice.codec import (
-    decode_advice,
-    encode_advice,
-    read_advice,
-    write_advice,
-)
+from repro.advice.codec import read_advice, write_advice
 from repro.apps import feed_app, motd_app, stackdump_app, wiki_app
 from repro.attacks import ALL_ATTACKS
 from repro.cli import EXIT_OK, EXIT_REJECTED, main
@@ -23,7 +18,7 @@ from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.store import IsolationLevel, KVStore
 from repro.storage import MemoryBackend, backend_for
-from repro.trace.codec import decode_trace, encode_trace, read_trace, write_trace
+from repro.trace.codec import read_trace, write_trace
 from repro.verifier import audit
 from repro.workload import (
     feed_workload,
@@ -84,17 +79,15 @@ def _roundtrip(backend, trace, advice):
     return read_trace(backend, "trace"), read_advice(backend, "advice")
 
 
-def _legacy_key(app_fn, trace, advice):
-    """The baseline: the audit of the JSON-document round-trip."""
-    decoded_trace = decode_trace(encode_trace(trace))
-    decoded_advice = decode_advice(encode_advice(advice))
-    return _key(audit(app_fn(), decoded_trace, decoded_advice))
+def _direct_key(app_fn, trace, advice):
+    """The baseline: the audit of the pair as served, never encoded."""
+    return _key(audit(app_fn(), trace, advice))
 
 
 @pytest.mark.parametrize("scheme", BACKENDS)
 def test_honest_verdicts_identical(served, scheme, tmp_path):
     app_fn, run = served
-    baseline = _legacy_key(app_fn, run.trace, run.advice)
+    baseline = _direct_key(app_fn, run.trace, run.advice)
     assert baseline[0], baseline[1]  # the honest run must accept
     trace, advice = _roundtrip(_backend(scheme, tmp_path), run.trace, run.advice)
     assert _key(audit(app_fn(), trace, advice)) == baseline
@@ -103,19 +96,21 @@ def test_honest_verdicts_identical(served, scheme, tmp_path):
 @pytest.mark.parametrize("attack", ALL_ATTACKS, ids=lambda a: a.name)
 def test_tampered_verdicts_identical(served, attack, tmp_path):
     """Every tamper must produce the same verdict/reason/stats whether the
-    pair travelled as JSON documents or as record streams.  One backend
-    (memory) keeps the apps x attacks sweep fast; byte-identical framing
-    across backends is covered by the honest sweep and the unit suite."""
+    pair is audited as served or after a record-stream round trip through
+    each backend."""
     app_fn, run = served
     try:
         tampered_trace, tampered_advice = attack.apply(run.trace, run.advice)
     except LookupError:
         pytest.skip("no target")
-    baseline = _legacy_key(app_fn, tampered_trace, tampered_advice)
-    trace, advice = _roundtrip(
-        MemoryBackend(), tampered_trace, tampered_advice
-    )
-    assert _key(audit(app_fn(), trace, advice)) == baseline, attack.name
+    baseline = _direct_key(app_fn, tampered_trace, tampered_advice)
+    for scheme in BACKENDS:
+        trace, advice = _roundtrip(
+            _backend(scheme, tmp_path), tampered_trace, tampered_advice
+        )
+        assert _key(audit(app_fn(), trace, advice)) == baseline, (
+            attack.name, scheme,
+        )
 
 
 # -- the CLI surface -----------------------------------------------------------
@@ -159,19 +154,6 @@ def test_cli_gzip_epoch_store_resumes(app, tmp_path):
 
     journal = AuditJournal(backend=backend_for("gzip", str(out)))
     assert journal.last_verified() >= 0
-
-
-def test_cli_memory_store_roundtrip(tmp_path):
-    trace = tmp_path / "t.json"
-    advice = tmp_path / "a.json"
-    assert main([
-        "serve", "--app", "wiki", "--requests", "12", "--seed", "7",
-        "--out-trace", str(trace), "--out-advice", str(advice),
-    ]) == EXIT_OK
-    assert main([
-        "audit", "--app", "wiki", "--trace", str(trace),
-        "--advice", str(advice), "--store", "memory",
-    ]) == EXIT_OK
 
 
 def test_cli_corrupt_store_rejected(tmp_path):

@@ -1,11 +1,15 @@
 """Unit tests for the sequential baseline and advice sizing."""
 
 
+import pytest
+
 from repro.advice import advice_breakdown, advice_size_bytes
+from repro.advice.codec import write_advice
 from repro.apps import motd_app, stackdump_app
 from repro.baselines import sequential_reexecute
 from repro.kem.scheduler import FifoScheduler, RandomScheduler
-from repro.server import KarousosPolicy, run_server
+from repro.server import KarousosPolicy, OrochiPolicy, run_server
+from repro.storage import FileBackend
 from repro.store import IsolationLevel, KVStore
 from repro.workload import motd_workload, stacks_workload
 
@@ -88,3 +92,19 @@ class TestAdviceSizing:
         assert advice_size_bytes(run.advice) > 0
         assert run.advice.tx_log_entry_count() > 0
         assert karousos > 0
+
+    @pytest.mark.parametrize("policy", [KarousosPolicy, OrochiPolicy])
+    def test_size_is_the_stored_advice_stream(self, tmp_path, policy):
+        """Fig 8 measures the bytes the server writes: the ``advice``
+        stream on disk, to the byte."""
+        run = run_server(
+            stackdump_app(),
+            stacks_workload(30, mix="mixed", seed=5),
+            policy(),
+            store=KVStore(IsolationLevel.SERIALIZABLE),
+            concurrency=4,
+        )
+        backend = FileBackend(str(tmp_path))
+        written = write_advice(backend, "advice", run.advice)
+        on_disk = (tmp_path / "advice.rec").stat().st_size
+        assert advice_size_bytes(run.advice) == written == on_disk

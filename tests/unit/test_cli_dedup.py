@@ -13,22 +13,20 @@ pytestmark = pytest.mark.tier1
 
 @pytest.fixture()
 def served(tmp_path):
-    trace = tmp_path / "trace.json"
-    advice = tmp_path / "advice.json"
+    store = tmp_path / "store"
     code = main(
         [
             "serve", "--app", "stacks", "--requests", "20", "--seed", "7",
             "--concurrency", "4",
-            "--out-trace", str(trace), "--out-advice", str(advice),
+            "--store-path", str(store),
         ]
     )
     assert code == EXIT_OK
-    return trace, advice
+    return store
 
 
-def _audit(trace, advice, *extra, app="stacks"):
-    return main(["audit", "--app", app, "--trace", str(trace),
-                 "--advice", str(advice), *extra])
+def _audit(store, *extra, app="stacks"):
+    return main(["audit", "--app", app, "--store-path", str(store), *extra])
 
 
 def _metrics(path):
@@ -39,9 +37,9 @@ def _metrics(path):
 
 class TestAuditFlags:
     def test_dedup_accepts_and_reports_counters(self, served, tmp_path):
-        trace, advice = served
+        store = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--dedup", "--metrics-out", str(out))
+        code = _audit(store, "--dedup", "--metrics-out", str(out))
         assert code == EXIT_OK
         counters = _metrics(out)["counters"]
         assert counters["reexec.cache_misses"] > 0
@@ -49,12 +47,12 @@ class TestAuditFlags:
         assert "reexec.cache_hits" in counters
 
     def test_cache_dir_warm_start(self, served, tmp_path):
-        trace, advice = served
+        store = served
         cache_dir = tmp_path / "cache"
         cold_out, warm_out = tmp_path / "cold.json", tmp_path / "warm.json"
-        assert _audit(trace, advice, "--cache-dir", str(cache_dir),
+        assert _audit(store, "--cache-dir", str(cache_dir),
                       "--metrics-out", str(cold_out)) == EXIT_OK
-        assert _audit(trace, advice, "--cache-dir", str(cache_dir),
+        assert _audit(store, "--cache-dir", str(cache_dir),
                       "--metrics-out", str(warm_out)) == EXIT_OK
         cold = _metrics(cold_out)["counters"]
         warm = _metrics(warm_out)["counters"]
@@ -67,10 +65,10 @@ class TestAuditFlags:
         assert warm["cache.entries_loaded"] == cold["cache.entries_written"]
 
     def test_dedup_verdict_matches_plain(self, served, tmp_path, capsys):
-        trace, advice = served
+        store = served
 
         def verdict(*extra):
-            code = _audit(trace, advice, "--format", "json", *extra)
+            code = _audit(store, "--format", "json", *extra)
             doc = json.loads(capsys.readouterr().out)
             stats = {
                 k: v for k, v in doc["stats"].items() if k != "elapsed_seconds"
@@ -85,26 +83,26 @@ class TestAuditFlags:
         assert verdict("--dedup", "--no-cache") == plain
 
     def test_dedup_with_epochs(self, served, tmp_path, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--epochs", "3", "--dedup",
+        store = served
+        code = _audit(store, "--epochs", "3", "--dedup",
                       "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
 
     def test_usage_errors(self, served, tmp_path):
-        trace, advice = served
-        assert _audit(trace, advice, "--no-cache") == EXIT_USAGE
-        assert _audit(trace, advice, "--dedup", "--no-cache",
+        store = served
+        assert _audit(store, "--no-cache") == EXIT_USAGE
+        assert _audit(store, "--dedup", "--no-cache",
                       "--cache-dir", str(tmp_path / "c")) == EXIT_USAGE
 
 
 class TestCacheCommand:
     @pytest.fixture()
     def cache_dir(self, served, tmp_path):
-        trace, advice = served
+        store = served
         path = tmp_path / "cache"
-        assert _audit(trace, advice, "--cache-dir", str(path)) == EXIT_OK
+        assert _audit(store, "--cache-dir", str(path)) == EXIT_OK
         return path
 
     def test_stats(self, cache_dir, capsys):

@@ -13,28 +13,26 @@ pytestmark = pytest.mark.tier1
 
 @pytest.fixture()
 def served(tmp_path):
-    trace = tmp_path / "trace.json"
-    advice = tmp_path / "advice.json"
+    store = tmp_path / "store"
     code = main(
         [
             "serve", "--app", "motd", "--requests", "20", "--seed", "7",
             "--concurrency", "4",
-            "--out-trace", str(trace), "--out-advice", str(advice),
+            "--store-path", str(store),
         ]
     )
     assert code == EXIT_OK
-    return trace, advice
+    return store
 
 
-def _audit(trace, advice, *extra, app="motd"):
-    return main(["audit", "--app", app, "--trace", str(trace),
-                 "--advice", str(advice), *extra])
+def _audit(store, *extra, app="motd"):
+    return main(["audit", "--app", app, "--store-path", str(store), *extra])
 
 
 class TestJsonFormat:
     def test_accepted_verdict_json(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--format", "json")
+        store = served
+        code = _audit(store, "--format", "json")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
@@ -43,8 +41,8 @@ class TestJsonFormat:
         assert doc["stats"]["handlers_executed"] > 0
 
     def test_rejected_verdict_json(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--format", "json", app="wiki")
+        store = served
+        code = _audit(store, "--format", "json", app="wiki")
         assert code == EXIT_REJECTED
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is False
@@ -52,18 +50,22 @@ class TestJsonFormat:
         assert isinstance(doc["detail"], str)
 
     def test_input_format_error_json(self, served, tmp_path, capsys):
-        trace, _ = served
-        bad = tmp_path / "advice.json"
-        bad.write_text("{}")
-        code = _audit(trace, bad, "--format", "json")
+        from repro.advice.codec import RT_META, STREAM_KIND
+        from repro.storage import FileBackend
+        from repro.storage.records import pack_json
+
+        # An advice stream whose meta record is an empty object.
+        with FileBackend(str(served)).create("advice", STREAM_KIND) as writer:
+            writer.append(RT_META, pack_json({}))
+        code = _audit(served, "--format", "json")
         assert code == EXIT_REJECTED
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is False
         assert doc["reason"] == "input-format"
 
     def test_continuous_verdict_json(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--format", "json", "--epochs", "3")
+        store = served
+        code = _audit(store, "--format", "json", "--epochs", "3")
         assert code == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["accepted"] is True
@@ -76,9 +78,9 @@ class TestJsonFormat:
 
 class TestMetricsOut:
     def test_audit_metrics_out(self, served, tmp_path):
-        trace, advice = served
+        store = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--metrics-out", str(out))
+        code = _audit(store, "--metrics-out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
@@ -86,18 +88,18 @@ class TestMetricsOut:
         assert "pipeline.stage.reexec.seconds" in doc["histograms"]
 
     def test_parallel_audit_metrics_out(self, served, tmp_path):
-        trace, advice = served
+        store = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--jobs", "2", "--metrics-out", str(out))
+        code = _audit(store, "--jobs", "2", "--metrics-out", str(out))
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
         assert doc["counters"]["worker.groups"] == doc["counters"]["reexec.groups"]
 
     def test_rejected_audit_records_diagnostic(self, served, tmp_path):
-        trace, advice = served
+        store = served
         out = tmp_path / "metrics.json"
-        code = _audit(trace, advice, "--metrics-out", str(out), app="wiki")
+        code = _audit(store, "--metrics-out", str(out), app="wiki")
         assert code == EXIT_REJECTED
         doc = json.loads(out.read_text())
         validate_metrics_doc(doc)
@@ -110,8 +112,7 @@ class TestMetricsOut:
         code = main(
             [
                 "serve", "--app", "motd", "--requests", "10",
-                "--out-trace", str(tmp_path / "t.json"),
-                "--out-advice", str(tmp_path / "a.json"),
+                "--store-path", str(tmp_path / "store"),
                 "--metrics-out", str(out),
             ]
         )
@@ -122,8 +123,8 @@ class TestMetricsOut:
         assert doc["counters"]["kem.responses"] == 10
 
     def test_progress_flag_prints_stages(self, served, capsys):
-        trace, advice = served
-        code = _audit(trace, advice, "--progress")
+        store = served
+        code = _audit(store, "--progress")
         assert code == EXIT_OK
         err = capsys.readouterr().err
         assert "progress: reexec" in err

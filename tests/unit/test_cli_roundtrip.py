@@ -1,38 +1,41 @@
-"""CLI round-trips: serve -> files -> audit for every app, honest and
-tampered, in both monolithic and continuous (epoch) modes."""
+"""CLI round-trips: serve -> record store -> audit for every app, honest
+and tampered, in both monolithic and continuous (epoch) modes."""
 
 import pytest
 
-from repro.advice.codec import decode_advice, encode_advice
+from repro.advice.codec import read_advice, write_advice
 from repro.attacks import ALL_ATTACKS
 from repro.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
-from repro.trace.codec import decode_trace
+from repro.storage import FileBackend
+from repro.trace.codec import read_trace
 
 pytestmark = pytest.mark.tier1
 
 APPS = ["motd", "stacks", "wiki"]
 
 
+def _serve(app, store, *extra):
+    return main(
+        [
+            "serve", "--app", app, "--requests", "10", "--seed", "6",
+            "--concurrency", "2", "--store-path", str(store), *extra,
+        ]
+    )
+
+
 @pytest.fixture(params=APPS)
 def served_app(request, tmp_path):
     app = request.param
-    trace = tmp_path / "trace.json"
-    advice = tmp_path / "advice.json"
-    code = main(
-        [
-            "serve", "--app", app, "--requests", "10", "--seed", "6",
-            "--concurrency", "2",
-            "--out-trace", str(trace), "--out-advice", str(advice),
-        ]
-    )
-    assert code == EXIT_OK
-    return app, trace, advice
+    store = tmp_path / "store"
+    assert _serve(app, store) == EXIT_OK
+    return app, store
 
 
-def _tamper(trace_path, advice_path):
-    """Apply the first applicable guaranteed attack to the on-disk pair."""
-    trace = decode_trace(trace_path.read_text())
-    advice = decode_advice(advice_path.read_text())
+def _tamper(store):
+    """Apply the first applicable guaranteed attack to the stored advice."""
+    backend = FileBackend(str(store))
+    trace = read_trace(backend, "trace")
+    advice = read_advice(backend, "advice")
     for attack in ALL_ATTACKS:
         if not attack.guaranteed:
             continue
@@ -41,23 +44,21 @@ def _tamper(trace_path, advice_path):
         except LookupError:
             continue
         if t2 == trace and tampered != advice:
-            advice_path.write_text(encode_advice(tampered))
+            write_advice(backend, "advice", tampered)
             return attack.name
     raise AssertionError("no applicable advice tamper")
 
 
 class TestMonolithicRoundtrip:
     def test_honest_accepts(self, served_app):
-        app, trace, advice = served_app
-        code = main(["audit", "--app", app, "--trace", str(trace),
-                     "--advice", str(advice)])
+        app, store = served_app
+        code = main(["audit", "--app", app, "--store-path", str(store)])
         assert code == EXIT_OK
 
     def test_tampered_rejects(self, served_app):
-        app, trace, advice = served_app
-        _tamper(trace, advice)
-        code = main(["audit", "--app", app, "--trace", str(trace),
-                     "--advice", str(advice)])
+        app, store = served_app
+        _tamper(store)
+        code = main(["audit", "--app", app, "--store-path", str(store)])
         assert code == EXIT_REJECTED
 
 
@@ -65,51 +66,82 @@ class TestContinuousRoundtrip:
     @pytest.fixture()
     def sealed(self, tmp_path, request):
         app = getattr(request, "param", "wiki")
-        epochs = tmp_path / "epochs"
-        trace = tmp_path / "trace.json"
-        advice = tmp_path / "advice.json"
-        code = main(
-            [
-                "serve", "--app", app, "--requests", "10", "--seed", "6",
-                "--concurrency", "2", "--seal-every", "2",
-                "--out-epochs", str(epochs),
-                "--out-trace", str(trace), "--out-advice", str(advice),
-            ]
-        )
-        assert code == EXIT_OK
-        return app, epochs, trace, advice
+        store = tmp_path / "store"
+        assert _serve(app, store, "--seal-every", "2") == EXIT_OK
+        return app, store
 
-    def test_epochs_dir_honest_accepts(self, sealed, tmp_path, capsys):
-        app, epochs, _, _ = sealed
-        code = main(["audit", "--app", app, "--epochs-dir", str(epochs),
-                     "--checkpoint-dir", str(tmp_path / "cps"),
-                     "--journal", str(tmp_path / "j.jsonl")])
+    def test_epochs_dir_honest_accepts(self, sealed, capsys):
+        app, store = sealed
+        code = main(["audit", "--app", app, "--store-path", str(store)])
         assert code == EXIT_OK
         assert "ACCEPT" in capsys.readouterr().out
 
-    def test_epochs_dir_resumes(self, sealed, tmp_path, capsys):
-        app, epochs, _, _ = sealed
-        args = ["audit", "--app", app, "--epochs-dir", str(epochs),
-                "--checkpoint-dir", str(tmp_path / "cps"),
-                "--journal", str(tmp_path / "j.jsonl")]
+    def test_epochs_dir_resumes(self, sealed, capsys):
+        app, store = sealed
+        args = ["audit", "--app", app, "--store-path", str(store)]
         assert main(args) == EXIT_OK
         capsys.readouterr()
         assert main(args) == EXIT_OK
         assert "resumed" in capsys.readouterr().out
 
     def test_offline_epochs_honest_accepts(self, sealed):
-        app, _, trace, advice = sealed
-        code = main(["audit", "--app", app, "--trace", str(trace),
-                     "--advice", str(advice), "--epochs", "2"])
+        app, store = sealed
+        code = main(["audit", "--app", app, "--store-path", str(store),
+                     "--epochs", "2"])
         assert code == EXIT_OK
 
     def test_offline_epochs_tampered_rejects(self, sealed, capsys):
-        app, _, trace, advice = sealed
-        _tamper(trace, advice)
-        code = main(["audit", "--app", app, "--trace", str(trace),
-                     "--advice", str(advice), "--epochs", "2"])
+        app, store = sealed
+        _tamper(store)
+        code = main(["audit", "--app", app, "--store-path", str(store),
+                     "--epochs", "2"])
         assert code == EXIT_REJECTED
         assert "REJECT" in capsys.readouterr().out
+
+    def test_offline_epochs_ignore_sealed_resume_state(self, sealed, capsys):
+        """A re-cut (--epochs N) is a different epoch sequence from the
+        sealed one: the journal the sealed audit left must not make it
+        skip anything."""
+        app, store = sealed
+        assert main(["audit", "--app", app, "--store-path", str(store)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["audit", "--app", app, "--store-path", str(store),
+                     "--epochs", "3"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert "resumed" not in out
+        assert "0 epochs" not in out
+
+
+class TestUsedStore:
+    """Serving never appends to a store: a second run would share the
+    first run's journal and checkpoints, and its audit would skip the
+    new epochs as already verified."""
+
+    def test_serve_refuses_used_store(self, tmp_path, capsys):
+        store = tmp_path / "S"
+        argv = ["serve", "--app", "wiki", "--requests", "30",
+                "--seal-every", "10", "--store", "file",
+                "--store-path", str(store)]
+        assert main([*argv, "--seed", "1"]) == EXIT_OK
+        assert main(["audit", "--app", "wiki", "--store", "file",
+                     "--store-path", str(store)]) == EXIT_OK
+        before = sorted(p.name for p in store.iterdir())
+        capsys.readouterr()
+        assert main([*argv, "--seed", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(store) in err and "already holds" in err
+        assert sorted(p.name for p in store.iterdir()) == before
+
+    def test_serve_refuses_store_of_other_scheme(self, tmp_path):
+        store = tmp_path / "S"
+        assert _serve("motd", store) == EXIT_OK
+        assert _serve("motd", store, "--store", "gzip") == EXIT_USAGE
+
+    def test_serve_accepts_empty_directory(self, tmp_path):
+        store = tmp_path / "S"
+        store.mkdir()
+        assert _serve("motd", store) == EXIT_OK
 
 
 class TestContinuousUsageErrors:
@@ -118,22 +150,12 @@ class TestContinuousUsageErrors:
                      "--threads", "2", "--seal-every", "2"])
         assert code == EXIT_USAGE
 
-    def test_out_epochs_requires_seal_every(self, tmp_path):
-        code = main(["serve", "--app", "motd", "--requests", "4",
-                     "--out-epochs", str(tmp_path / "eps")])
-        assert code == EXIT_USAGE
-
-    def test_epochs_and_epochs_dir_exclusive(self, tmp_path):
-        code = main(["audit", "--app", "motd", "--epochs", "2",
-                     "--epochs-dir", str(tmp_path)])
-        assert code == EXIT_USAGE
-
-    def test_trace_required_without_epochs_dir(self):
+    def test_store_path_required(self):
         code = main(["audit", "--app", "motd"])
         assert code == EXIT_USAGE
 
     def test_empty_epochs_dir_is_usage_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
-        code = main(["audit", "--app", "motd", "--epochs-dir", str(empty)])
+        code = main(["audit", "--app", "motd", "--store-path", str(empty)])
         assert code == EXIT_USAGE

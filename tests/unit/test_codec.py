@@ -1,4 +1,5 @@
-"""Unit and property tests for the advice wire format."""
+"""Unit and property tests for the advice wire format (the ``advice``
+record stream)."""
 
 import json
 
@@ -7,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.advice.codec import (
     FORMAT_VERSION,
+    RT_META,
+    RT_OPCOUNTS,
+    RT_TAG,
     STREAM_KIND,
-    decode_advice,
     decode_hid,
     decode_value,
-    encode_advice,
     encode_hid,
     encode_value,
+    iter_advice_frames,
     read_advice,
     write_advice,
 )
@@ -163,17 +166,31 @@ def _runs():
     ), wiki_app
 
 
+def _roundtrip(advice):
+    backend = MemoryBackend()
+    write_advice(backend, "advice", advice)
+    return read_advice(backend, "advice")
+
+
+def _read_frames(frames):
+    """Decode a hand-built advice stream."""
+    backend = MemoryBackend()
+    with backend.create("advice", STREAM_KIND) as writer:
+        for rtype, payload in frames:
+            writer.append(rtype, payload)
+    return read_advice(backend, "advice")
+
+
 class TestBundleRoundtrip:
     @pytest.mark.parametrize("run,app_fn", list(_runs()), ids=["motd", "stacks", "wiki"])
     def test_decoded_advice_still_verifies(self, run, app_fn):
-        payload = encode_advice(run.advice)
-        decoded = decode_advice(payload)
+        decoded = _roundtrip(run.advice)
         result = audit(app_fn(), run.trace, decoded)
         assert result.accepted, (result.reason, result.detail)
 
     @pytest.mark.parametrize("run,app_fn", list(_runs()), ids=["motd", "stacks", "wiki"])
     def test_roundtrip_preserves_structure(self, run, app_fn):
-        decoded = decode_advice(encode_advice(run.advice))
+        decoded = _roundtrip(run.advice)
         assert decoded.tags == run.advice.tags
         assert decoded.opcounts == run.advice.opcounts
         assert decoded.handler_logs == run.advice.handler_logs
@@ -186,58 +203,65 @@ class TestBundleRoundtrip:
 
     def test_encoding_is_deterministic(self):
         run, _ = next(_runs())
-        assert encode_advice(run.advice) == encode_advice(run.advice)
+        assert list(iter_advice_frames(run.advice)) == list(
+            iter_advice_frames(run.advice)
+        )
 
 
 class TestStrictDecoding:
-    def _doc(self):
+    def _frames(self):
         run, _ = next(_runs())
-        return json.loads(encode_advice(run.advice))
+        return list(iter_advice_frames(run.advice))
+
+    def _edit(self, rtype, edit):
+        """The honest frames with the first ``rtype`` payload replaced by
+        ``edit(parsed_payload)`` (bytes are used as-is)."""
+        frames = self._frames()
+        for i, (rt, payload) in enumerate(frames):
+            if rt == rtype:
+                doc = edit(json.loads(payload))
+                frames[i] = (rt, doc if isinstance(doc, bytes) else
+                             json.dumps(doc).encode())
+                return frames
+        raise AssertionError(f"no record of type {rtype}")
 
     def test_version_1_stream_refused(self):
-        run, _ = next(_runs())
-        backend = MemoryBackend()
-        write_advice(backend, "advice", run.advice)
-        with backend.reader("advice") as reader:
-            frames = list(reader)
+        frames = self._frames()
         meta = json.loads(frames[0][1])
+        assert frames[0][0] == RT_META
         assert meta["version"] == FORMAT_VERSION == 2
-        meta["version"] = 1
-        with backend.create("old", STREAM_KIND) as writer:
-            writer.append(frames[0][0], json.dumps(meta).encode())
-            for rtype, payload in frames[1:]:
-                writer.append(rtype, payload)
         with pytest.raises(AdviceFormatError):
-            read_advice(backend, "old")
+            _read_frames(self._edit(RT_META, lambda doc: {**doc, "version": 1}))
 
     def test_wrong_version_rejected(self):
-        doc = self._doc()
-        doc["version"] = FORMAT_VERSION + 1
+        frames = self._edit(
+            RT_META, lambda doc: {**doc, "version": FORMAT_VERSION + 1}
+        )
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _read_frames(frames)
 
     def test_bad_isolation_rejected(self):
-        doc = self._doc()
-        doc["isolation"] = "quantum"
+        frames = self._edit(RT_META, lambda doc: {**doc, "isolation": "quantum"})
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _read_frames(frames)
 
     def test_non_json_rejected(self):
         with pytest.raises(AdviceFormatError):
-            decode_advice("{not json")
+            _read_frames(self._edit(RT_META, lambda doc: b"{not json"))
 
     def test_non_object_rejected(self):
         with pytest.raises(AdviceFormatError):
-            decode_advice("[1,2,3]")
+            _read_frames(self._edit(RT_META, lambda doc: [1, 2, 3]))
 
     def test_non_string_tag_rejected(self):
-        doc = self._doc()
-        doc["tags"]["r000001"] = 42
+        frames = self._edit(RT_TAG, lambda doc: [doc[0], 42])
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _read_frames(frames)
 
     def test_bool_opcount_rejected(self):
-        doc = self._doc()
-        doc["opcounts"][0][2] = True
+        def edit(doc):
+            doc[0][2] = True
+            return doc
+
         with pytest.raises(AdviceFormatError):
-            decode_advice(json.dumps(doc))
+            _read_frames(self._edit(RT_OPCOUNTS, edit))

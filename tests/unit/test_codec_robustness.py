@@ -2,9 +2,14 @@
 
 The verifier consumes advice from an adversary: the decoder must never
 crash with anything other than a clean AdviceFormatError, no matter how
-the document is corrupted.  (A crash inside the audit would still be
+the stream is corrupted.  (A crash inside the audit would still be
 caught and rejected, but the codec contract is stricter: corrupt bytes
 are a *format* error, not an internal failure.)
+
+Two layers are attacked.  Record payloads are mutated as JSON documents
+and re-framed with a valid CRC, so the per-record decoders (not the CRC
+check) see the damage; and the bytes of a stored ``.rec`` file are
+flipped or truncated, which the framing must catch.
 """
 
 import json
@@ -13,13 +18,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.advice.codec import decode_advice, encode_advice
+from repro.advice.codec import STREAM_KIND as ADVICE_KIND
+from repro.advice.codec import iter_advice_frames, read_advice, write_advice
 from repro.apps import stackdump_app
 from repro.errors import AdviceFormatError
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
+from repro.storage import FileBackend, MemoryBackend
 from repro.store import IsolationLevel, KVStore
-from repro.trace.codec import decode_trace, encode_trace
+from repro.trace.codec import STREAM_KIND as TRACE_KIND
+from repro.trace.codec import iter_trace_frames, read_trace, write_trace
 from repro.verifier import audit
 from repro.workload import stacks_workload
 
@@ -70,13 +78,32 @@ def _mutate_json(doc, rng):
     return doc
 
 
+def _stream(kind, frames):
+    """A memory backend holding one stream ``kind`` built from ``frames``
+    (each re-framed, so every CRC is valid)."""
+    backend = MemoryBackend()
+    with backend.create(kind, kind) as writer:
+        for rtype, payload in frames:
+            writer.append(rtype, payload)
+    return backend
+
+
+def _mutate_one_frame(frames, rng):
+    frames = list(frames)
+    i = rng.randrange(len(frames))
+    rtype, payload = frames[i]
+    doc = _mutate_json(json.loads(payload), rng)
+    frames[i] = (rtype, json.dumps(doc).encode())
+    return frames
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_corrupted_advice_never_crashes_decoder(honest, seed):
     rng = random.Random(seed)
-    doc = _mutate_json(json.loads(encode_advice(honest.advice)), rng)
+    frames = _mutate_one_frame(iter_advice_frames(honest.advice), rng)
     try:
-        decoded = decode_advice(json.dumps(doc))
+        decoded = read_advice(_stream(ADVICE_KIND, frames), ADVICE_KIND)
     except AdviceFormatError:
         return  # clean rejection at the format boundary
     # Decoding succeeded: the audit must still terminate with a verdict
@@ -89,21 +116,82 @@ def test_corrupted_advice_never_crashes_decoder(honest, seed):
 @given(seed=st.integers(0, 10_000))
 def test_corrupted_trace_never_crashes_decoder(honest, seed):
     rng = random.Random(seed)
-    doc = _mutate_json(json.loads(encode_trace(honest.trace)), rng)
+    frames = _mutate_one_frame(iter_trace_frames(honest.trace), rng)
     try:
-        decode_trace(json.dumps(doc))
+        read_trace(_stream(TRACE_KIND, frames), TRACE_KIND)
     except AdviceFormatError:
         pass
 
 
 @settings(max_examples=40, deadline=None)
 @given(junk=st.text(max_size=60))
-def test_arbitrary_text_rejected_cleanly(junk):
+def test_arbitrary_text_rejected_cleanly(honest, tmp_path_factory, junk):
+    raw = junk.encode("utf-8")
+    for kind, frames, read in (
+        (ADVICE_KIND, list(iter_advice_frames(honest.advice)), read_advice),
+        (TRACE_KIND, list(iter_trace_frames(honest.trace)), read_trace),
+    ):
+        # The junk as the meta record's payload ...
+        meta_rtype = frames[0][0]
+        with pytest.raises(AdviceFormatError):
+            read(_stream(kind, [(meta_rtype, raw)] + frames[1:]), kind)
+        # ... and as the whole stored file.
+        root = tmp_path_factory.mktemp("junk")
+        (root / f"{kind}.rec").write_bytes(raw)
+        with pytest.raises(AdviceFormatError):
+            read(FileBackend(str(root)), kind)
+
+
+@pytest.fixture(scope="module")
+def stored(honest, tmp_path_factory):
+    """The honest run's streams as FileBackend ``.rec`` files."""
+    root = tmp_path_factory.mktemp("stored")
+    backend = FileBackend(str(root))
+    write_trace(backend, "trace", honest.trace)
+    write_advice(backend, "advice", honest.advice)
+    return root
+
+
+_READERS = {"advice": read_advice, "trace": read_trace}
+
+
+def _read_damaged(tmp_path, stored, name, damage):
+    blob = bytearray((stored / f"{name}.rec").read_bytes())
+    (tmp_path / f"{name}.rec").write_bytes(bytes(damage(blob)))
+    return _READERS[name](FileBackend(str(tmp_path)), name)
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_byte_flips_of_rec_file_rejected(tmp_path_factory, stored, name, seed):
+    """Every flipped byte -- header, frame head, payload or CRC -- is
+    detected; the reader raises a format error, never anything else."""
+    rng = random.Random(seed)
+
+    def flip(blob):
+        for pos in rng.sample(range(len(blob)), rng.randint(1, 3)):
+            blob[pos] ^= rng.randint(1, 255)
+        return blob
+
+    with pytest.raises(AdviceFormatError):
+        _read_damaged(tmp_path_factory.mktemp("flip"), stored, name, flip)
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_truncated_rec_file_never_crashes_reader(
+    tmp_path_factory, stored, name, seed
+):
+    """A cut anywhere either raises a format error or -- at a record
+    boundary -- reads back as a prefix of the stream."""
+    rng = random.Random(seed)
+    size = (stored / f"{name}.rec").stat().st_size
+    cut = rng.randrange(size)
     try:
-        decode_advice(junk)
-    except AdviceFormatError:
-        pass
-    try:
-        decode_trace(junk)
+        _read_damaged(
+            tmp_path_factory.mktemp("cut"), stored, name, lambda b: b[:cut]
+        )
     except AdviceFormatError:
         pass

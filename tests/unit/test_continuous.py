@@ -20,17 +20,18 @@ from repro.continuous import (
     balanced_cuts,
     compute_digest,
     decode_checkpoint,
-    decode_epoch,
     encode_checkpoint,
-    encode_epoch,
-    read_epochs,
+    iter_epochs_stored,
+    read_epoch_stream,
     slice_epochs,
-    write_epoch,
+    write_epoch_stored,
 )
+from repro.continuous.checkpoint import RT_CHECKPOINT, STREAM_KIND, STREAM_NAME
 from repro.core.ids import HandlerId
 from repro.kem.scheduler import RandomScheduler
 from repro.server import KarousosPolicy, run_server
 from repro.server.variables import INIT_REF
+from repro.storage import FileBackend, MemoryBackend
 from repro.store import IsolationLevel, KVStore
 from repro.trace.trace import REQ, RESP, Request, Trace, TraceEvent
 from repro.workload import motd_workload, wiki_workload
@@ -168,24 +169,32 @@ class TestCheckpointStore:
         return cps
 
     def test_persistence_roundtrip(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "cps"))
+        store = CheckpointStore(FileBackend(str(tmp_path / "cps")))
         for cp in self._chain():
             store.put(cp)
-        reloaded = CheckpointStore(str(tmp_path / "cps"))
+        store.close()
+        reloaded = CheckpointStore(FileBackend(str(tmp_path / "cps")))
         assert len(reloaded) == 3
         assert reloaded.latest().epoch == 2
         reloaded.verify_chain()
 
     def test_verify_chain_rejects_tampered_contents(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "cps"))
+        backend = FileBackend(str(tmp_path / "cps"))
+        store = CheckpointStore(backend)
         for cp in self._chain():
             store.put(cp)
-        path = tmp_path / "cps" / "checkpoint-1.json"
-        doc = json.loads(path.read_text())
-        doc["vars"] = [["v", 999]]
-        path.write_text(json.dumps(doc))
+        store.close()
+        # Rewrite checkpoint 1's contents in place, keeping its digest.
+        records = backend.load_tolerant(STREAM_NAME, STREAM_KIND)
+        with backend.create(STREAM_NAME, STREAM_KIND) as writer:
+            for rtype, payload in records:
+                doc = json.loads(payload)
+                if doc["epoch"] == 1:
+                    doc["vars"] = [["v", 999]]
+                writer.append(rtype, json.dumps(doc).encode())
+        assert all(rtype == RT_CHECKPOINT for rtype, _ in records)
         with pytest.raises(CheckpointChainError):
-            CheckpointStore(str(tmp_path / "cps")).verify_chain()
+            CheckpointStore(backend).verify_chain()
 
     def test_verify_chain_rejects_missing_link(self):
         store = CheckpointStore()
@@ -206,12 +215,13 @@ class TestCheckpointStore:
 
 class TestAuditJournal:
     def test_reload_and_last_verified(self, tmp_path):
-        path = str(tmp_path / "j.jsonl")
-        j = AuditJournal(path)
+        backend = FileBackend(str(tmp_path / "j"))
+        j = AuditJournal(backend)
         j.record("sealed", 0, requests=2)
         j.record("verified", 0, digest="d0")
         j.record("verified", 1, digest="d1")
-        again = AuditJournal(path)
+        j.close()
+        again = AuditJournal(FileBackend(str(tmp_path / "j")))
         assert again.last_verified() == 1
         assert len(again.events) == 3
 
@@ -235,9 +245,10 @@ class TestEpochCodec:
             sealer=EpochSealer(2),
         )
         sealer = run.runtime.sealer
+        backend = FileBackend(str(tmp_path))
         for epoch in sealer.epochs:
-            write_epoch(str(tmp_path), epoch)
-        loaded = read_epochs(str(tmp_path))
+            write_epoch_stored(backend, epoch)
+        loaded = list(iter_epochs_stored(backend))
         assert len(loaded) == len(sealer.epochs)
         for orig, back in zip(sealer.epochs, loaded):
             assert back.index == orig.index
@@ -252,7 +263,10 @@ class TestEpochCodec:
             scheduler=RandomScheduler(1), concurrency=1, sealer=sealer,
         )
         epoch = sealer.epochs[0]
-        assert decode_epoch(encode_epoch(epoch)).advice == epoch.advice
+        backend = MemoryBackend()
+        name = write_epoch_stored(backend, epoch)
+        with backend.reader(name) as reader:
+            assert read_epoch_stream(reader).advice == epoch.advice
 
 
 class TestEpochSealer:

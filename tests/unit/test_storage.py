@@ -2,19 +2,13 @@
 corruption/truncation detection, torn-tail recovery, journal durability,
 and property-style fuzz of the value/trace/advice/epoch codecs."""
 
-import json
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.advice.codec import (
-    decode_advice,
-    encode_advice,
-    read_advice,
-    write_advice,
-)
+from repro.advice.codec import read_advice, write_advice
 from repro.advice.records import Advice, VariableLogEntry
 from repro.continuous.codec import (
     iter_epochs_stored,
@@ -200,29 +194,10 @@ def test_journal_fsyncs_every_record(tmp_path, monkeypatch):
     synced = []
     real_fsync = os.fsync
     monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd)))
-    journal = AuditJournal(str(tmp_path / "j.jsonl"))
+    journal = AuditJournal(FileBackend(str(tmp_path)))
     journal.record("sealed", 0)
     journal.record("verified", 0, digest="d")
     assert len(synced) == 2
-
-
-def test_journal_kill_mid_write_jsonl(tmp_path):
-    path = tmp_path / "j.jsonl"
-    journal = AuditJournal(str(path))
-    journal.record("sealed", 0)
-    journal.record("verified", 0, digest="d0")
-    # Crash mid-append: a torn, newline-less final line.
-    with open(path, "a") as fh:
-        fh.write('{"event": "verified", "epoch": 1, "dig')
-    resumed = AuditJournal(str(path))
-    assert resumed.last_verified() == 0  # torn record ignored
-    resumed.record("verified", 1, digest="d1")
-    # The torn bytes were truncated away, not interleaved with the new record.
-    lines = path.read_text().splitlines()
-    assert [json.loads(line)["event"] for line in lines] == [
-        "sealed", "verified", "verified",
-    ]
-    assert AuditJournal(str(path)).last_verified() == 1
 
 
 def test_journal_kill_mid_write_backend(tmp_path):
@@ -293,10 +268,9 @@ def test_fuzz_trace_advice_epoch_records(values):
     # Trace records.
     write_trace(backend, "trace", trace)
     assert read_trace(backend, "trace").events == trace.events
-    # Advice records agree with the legacy JSON document codec.
+    # Advice records.
     write_advice(backend, "advice", advice)
     assert read_advice(backend, "advice") == advice
-    assert decode_advice(encode_advice(advice)) == advice
     # Epoch records embed both.
     write_epoch_stored(backend, Epoch(index=0, trace=trace, advice=advice))
     with backend.reader("epoch-0") as reader:
